@@ -40,12 +40,17 @@ chaos-shard:
 chaos-net:
 	$(GO) test -tags faultinject -race -count=1 -run 'ChaosNet|TCP' ./internal/shard/
 
-# 30-second native-fuzzing smoke on the text readers (see README,
-# "Fuzzing"). Each target runs separately: `go test -fuzz` accepts a
-# single fuzz target per package invocation.
+# 30-second native-fuzzing smoke on every fuzz target: the text
+# readers and the shard wire codec (see README, "Fuzzing"). Each target
+# runs separately: `go test -fuzz` accepts a single fuzz target per
+# package invocation, so the patterns are anchored.
 fuzz-smoke:
-	$(GO) test -fuzz=FuzzRowReader -fuzztime=30s ./internal/dataset
-	$(GO) test -fuzz=FuzzReadTable -fuzztime=30s ./internal/core
+	$(GO) test -fuzz='^FuzzRowReader$$' -fuzztime=30s ./internal/dataset
+	$(GO) test -fuzz='^FuzzRead$$' -fuzztime=30s ./internal/dataset
+	$(GO) test -fuzz='^FuzzLoadARFF$$' -fuzztime=30s ./internal/dataset
+	$(GO) test -fuzz='^FuzzLoadCSV$$' -fuzztime=30s ./internal/dataset
+	$(GO) test -fuzz='^FuzzReadTable$$' -fuzztime=30s ./internal/core
+	$(GO) test -fuzz='^FuzzWireCodec$$' -fuzztime=30s ./internal/wire
 
 # Striped-vs-scalar kernel comparison: the same bitset and pool
 # benchmarks under the default (striped) build and under the

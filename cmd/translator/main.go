@@ -92,11 +92,12 @@ func main() {
 		return
 	}
 
-	var tracer core.TraceFunc
+	var tracer core.IterationFunc
 	if *trace {
-		tracer = func(it core.IterationStats) {
+		tracer = func(it core.IterationStats) bool {
 			fmt.Printf("  it %3d: gain %8.2f  score %10.2f  %s\n",
 				it.Iteration, it.Gain, it.Score, it.Rule.Format(d))
+			return true
 		}
 	}
 
@@ -109,7 +110,7 @@ func main() {
 	var mineErr error
 	switch *algo {
 	case "exact":
-		res, mineErr = core.MineExact(ctx, d, core.ExactOptions{MaxRules: *maxRules, Trace: tracer, ParallelOptions: par})
+		res, mineErr = core.MineExact(ctx, d, core.ExactOptions{MaxRules: *maxRules, OnIteration: tracer, ParallelOptions: par})
 	case "select", "greedy":
 		cands, err := core.MineCandidates(ctx, d, *minsup, 0, par)
 		if err != nil {
@@ -120,9 +121,9 @@ func main() {
 		}
 		fmt.Printf("candidates: %d closed two-view itemsets (minsup %d)\n", len(cands), *minsup)
 		if *algo == "select" {
-			res, mineErr = core.MineSelect(ctx, d, cands, core.SelectOptions{K: *k, MaxRules: *maxRules, Trace: tracer, ParallelOptions: par})
+			res, mineErr = core.MineSelect(ctx, d, cands, core.SelectOptions{K: *k, MaxRules: *maxRules, OnIteration: tracer, ParallelOptions: par})
 		} else {
-			res, mineErr = core.MineGreedy(ctx, d, cands, core.GreedyOptions{MaxRules: *maxRules, Trace: tracer, ParallelOptions: par})
+			res, mineErr = core.MineGreedy(ctx, d, cands, core.GreedyOptions{MaxRules: *maxRules, OnIteration: tracer, ParallelOptions: par})
 		}
 	default:
 		log.Fatalf("unknown algorithm %q", *algo)

@@ -84,7 +84,7 @@ func BenchmarkMineExact(b *testing.B) {
 	}
 }
 
-// BenchmarkMineSelect measures full SELECT mining (scoring + re-check
+// BenchmarkMineSelect measures full SELECT mining (scoring + add-walk
 // rounds) serial vs parallel over a realistic candidate set. The k1
 // variants force one accepted rule per round — the many-cheap-rounds
 // shape that stresses the per-phase overhead of the persistent pool.

@@ -48,8 +48,6 @@ type ExactOptions struct {
 	// MaxRules stops after this many rules; 0 means no limit (the
 	// natural MDL stopping criterion applies either way).
 	MaxRules int
-	// Trace observes each added rule.
-	Trace TraceFunc
 	// OnIteration observes each added rule and may stop the run early by
 	// returning false (the partial table is returned with a nil error).
 	OnIteration IterationFunc
@@ -72,37 +70,31 @@ type ExactOptions struct {
 // alongside ctx.Err(). With an uncancelled context the result is
 // bit-identical for every worker count and the error is nil.
 func MineExact(ctx context.Context, d *dataset.Dataset, opt ExactOptions) (*Result, error) {
-	if m, err := shardEngine(opt.ParallelOptions); err != nil {
-		return nil, err
-	} else if m != nil {
-		return m.MineExact(ctx, d, opt)
-	}
 	elapsed := stopwatch()
-	coder := mdl.NewCoder(d)
-	s := NewState(d, coder)
-	res := &Result{State: s}
-	// One worker pool serves every iteration's best-rule search: the
-	// per-worker states (and their per-depth DFS scratch) persist across
-	// iterations, and the phases run on the session's parked workers.
-	search := newExactRun(s, opt)
-	var err error
-	for opt.MaxRules == 0 || len(s.table.Rules) < opt.MaxRules {
+	c, err := OpenCover(ctx, d, mdl.NewCoder(d), nil, &opt, opt.ParallelOptions)
+	if err != nil {
+		return nil, err
+	}
+	defer c.Close()
+	res := &Result{}
+	for opt.MaxRules == 0 || len(res.Iterations) < opt.MaxRules {
 		if err = ctx.Err(); err != nil {
 			break
 		}
 		var r Rule
 		var gain float64
 		var ok bool
-		if r, gain, ok, err = search.bestRule(ctx); err != nil || !ok || gain <= gainEpsilon {
+		if r, gain, ok, err = c.BestRule(ctx); err != nil || !ok || gain <= gainEpsilon {
 			break
 		}
-		s.AddRule(r)
-		if !res.record(s, r, gain, opt.Trace, opt.OnIteration) {
+		if err = c.Apply(r); err != nil {
+			break
+		}
+		if !res.record(c, r, gain, opt.OnIteration) {
 			break
 		}
 	}
-	res.Table = s.Table()
-	res.Runtime = elapsed()
+	res.finish(c, elapsed)
 	return res, err
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"twoview/internal/dataset"
 	"twoview/internal/mdl"
-	"twoview/internal/pool"
 )
 
 // This file implements TRANSLATOR-GREEDY (§5.4): single-pass filtering in
@@ -17,9 +16,9 @@ import (
 //
 // The pass is sequential by definition — every accepted rule changes the
 // state all later candidates are scored against — so it parallelizes by
-// speculation: candidates are scored against the current state in blocks
-// on the internal/pool worker pool, the block is walked serially, and on
-// the first accepted rule the not-yet-walked remainder of the block is
+// speculation: candidates are scored against the current state in windows
+// (one cover Score call each), the window is walked serially, and on the
+// first accepted rule the not-yet-walked remainder of the window is
 // discarded and re-scored against the updated state. Every decision is
 // therefore made against exactly the state the serial pass would have
 // used, and since most candidates are rejected (their state-dependent
@@ -36,8 +35,6 @@ type GreedyOptions struct {
 	// are identical for any value (window boundaries depend only on the
 	// accept positions, which are schedule-independent).
 	BlockSize int
-	// Trace observes each added rule.
-	Trace TraceFunc
 	// OnIteration observes each added rule and may stop the run early by
 	// returning false (the partial table is returned with a nil error).
 	OnIteration IterationFunc
@@ -48,9 +45,9 @@ type GreedyOptions struct {
 
 // The speculation window grows geometrically from greedyMinBlock to
 // GreedyOptions.BlockSize (default greedyMaxBlock): each accepted rule
-// invalidates the rest of its block, and accepts cluster at the head of
+// invalidates the rest of its window, and accepts cluster at the head of
 // the length/support-descending candidate order, so the window restarts
-// small after every accept and doubles across accept-free blocks.
+// small after every accept and doubles across accept-free windows.
 // Window boundaries depend only on the accept positions — which are
 // schedule-independent — never on the worker count, so the scored
 // values (and all decisions) are identical for any parallelism; the
@@ -61,49 +58,30 @@ const (
 	greedyMaxBlock = 512
 )
 
-// greedyCtxProbeMask gates the lazy serial walk's cancellation probe:
-// one ctx.Err() call per 256 scored candidates.
-const greedyCtxProbeMask = 1<<8 - 1
-
-// greedyScore is one candidate's speculative evaluation: the best of its
-// three rule instantiations, or ok=false when the candidate is discarded
-// (qub hopeless or no strictly positive gain).
-type greedyScore struct {
-	rule Rule
-	gain float64
-	ok   bool
-}
-
 // MineGreedy runs TRANSLATOR-GREEDY over the given candidates.
 //
-// Cancelling ctx aborts the pass at the next checkpoint (a block
+// Cancelling ctx aborts the pass at the next checkpoint (a window
 // boundary or a task boundary inside the speculative scoring phase) and
 // returns the table mined so far alongside ctx.Err(). With an
 // uncancelled context the result is bit-identical for every worker
 // count and the error is nil.
 func MineGreedy(ctx context.Context, d *dataset.Dataset, cands []Candidate, opt GreedyOptions) (*Result, error) {
-	if m, err := shardEngine(opt.ParallelOptions); err != nil {
-		return nil, err
-	} else if m != nil {
-		return m.MineGreedy(ctx, d, cands, opt)
-	}
 	elapsed := stopwatch()
 	coder := mdl.NewCoder(d)
-	s := NewState(d, coder)
-	res := &Result{State: s}
+	c, err := OpenCover(ctx, d, coder, cands, nil, opt.ParallelOptions)
+	if err != nil {
+		return nil, err
+	}
+	defer c.Close()
+	res := &Result{}
 
-	// Order: length desc, then support desc, then deterministic. The
-	// order slice and the per-block score buffer come from the session's
-	// scratch pool, so repeated greedy passes allocate nothing here.
-	scr := opt.getScratch()
-	if cap(scr.order) < len(cands) {
-		scr.order = make([]int, len(cands))
-	}
-	order := scr.order[:len(cands)]
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortFunc(order, func(a, b int) int {
+	// Walk order: length desc, then support desc, then deterministic.
+	// Candidates the quick bound rules out are never walked: they could
+	// only be discarded. The order and window buffers come from the
+	// session's scratch pool.
+	sc := opt.getScratch()
+	order := qubSurvivors(coder, cands, sc.idx[:0])
+	slices.SortFunc(order, func(a, b int32) int {
 		ca, cb := &cands[a], &cands[b]
 		la, lb := len(ca.X)+len(ca.Y), len(cb.X)+len(cb.Y)
 		if la != lb {
@@ -117,103 +95,65 @@ func MineGreedy(ctx context.Context, d *dataset.Dataset, cands []Candidate, opt 
 		return ra.Compare(rb)
 	})
 
-	// Speculation only pays when there are workers to keep busy: with a
-	// single worker the lazy walk below scores each candidate exactly
-	// once at its turn, which strictly dominates scoring ahead and
-	// discarding on accept. Results are identical either way — every
-	// decision is made against the same state in the same order.
-	speculate := opt.workerCount(len(order)) > 1
-	rt := opt.runtime()
 	maxBlock := opt.BlockSize
 	if maxBlock <= 0 {
 		maxBlock = greedyMaxBlock
 	}
-	pos, block := 0, min(greedyMinBlock, maxBlock)
-	var err error
+	minBlock := min(greedyMinBlock, maxBlock)
+	if !c.Speculate() {
+		// Windows of one: each candidate is scored exactly once, at its
+		// turn.
+		minBlock, maxBlock = 1, 1
+	}
+	gains := sc.gains[:0]
+	pos, block := 0, minBlock
 	stopped := false
 	for pos < len(order) && !stopped {
 		if err = ctx.Err(); err != nil {
 			break
 		}
-		if opt.MaxRules > 0 && len(s.table.Rules) >= opt.MaxRules {
+		if opt.MaxRules > 0 && len(res.Iterations) >= opt.MaxRules {
 			break
 		}
-		end := pos + block
-		if end > len(order) {
-			end = len(order)
-		}
-		// Speculatively score the block against the current state, into
-		// the reused block buffer.
-		var scores []greedyScore
-		if speculate {
-			if scr.scores, err = pool.MapOrderedIntoCtxOn(rt, ctx, scr.scores, opt.Workers, end-pos, func(i int) greedyScore {
-				return scoreGreedyCandidate(s, &cands[order[pos+i]])
-			}); err != nil {
-				break
-			}
-			scores = scr.scores
+		// Speculatively score the window against the current state.
+		end := min(pos+block, len(order))
+		if gains, err = c.Score(ctx, order[pos:end], gains[:0]); err != nil {
+			break
 		}
 		// Serial walk: the first accepted rule invalidates the remaining
 		// speculative scores (the state changed), so the walk restarts
-		// right after it with a fresh, minimum-size block.
+		// right after it with a fresh, minimum-size window.
 		next := end
 		block = min(block*2, maxBlock)
 		for j := pos; j < end; j++ {
-			var sc greedyScore
-			if speculate {
-				sc = scores[j-pos]
-			} else {
-				// The lazy serial walk probes ctx at the granularity the
-				// speculative path gets from its phase task boundaries;
-				// BlockSize may be arbitrarily large, so the block loop
-				// alone does not bound cancellation latency.
-				if (j-pos)&greedyCtxProbeMask == greedyCtxProbeMask {
-					if err = ctx.Err(); err != nil {
-						break
-					}
+			cd := &cands[order[j]]
+			rs := instantiate(cd, gains[j-pos], coder.RuleLen(cd.X, cd.Y, false), coder.RuleLen(cd.X, cd.Y, true))
+			best := rs[0]
+			for _, r := range rs[1:] {
+				if r.gain > best.gain {
+					best = r
 				}
-				sc = scoreGreedyCandidate(s, &cands[order[j]])
 			}
-			if !sc.ok {
+			if best.gain <= gainEpsilon {
 				continue // discarded and never considered again
 			}
-			s.AddRule(sc.rule)
-			if !res.record(s, sc.rule, sc.gain, opt.Trace, opt.OnIteration) {
+			if err = c.Apply(best.rule); err != nil {
+				break
+			}
+			if !res.record(c, best.rule, best.gain, opt.OnIteration) {
 				stopped = true
 			}
 			next = j + 1
-			block = min(greedyMinBlock, maxBlock)
+			block = minBlock
+			break
+		}
+		if err != nil {
 			break
 		}
 		pos = next
 	}
-	opt.putScratch(scr)
-	res.Table = s.Table()
-	res.Runtime = elapsed()
+	sc.idx, sc.gains = order, gains
+	opt.putScratch(sc)
+	res.finish(c, elapsed)
 	return res, err
-}
-
-// scoreGreedyCandidate evaluates one candidate against the current state:
-// the single-pass filter's per-candidate body.
-func scoreGreedyCandidate(s *State, c *Candidate) greedyScore {
-	if s.Qub(c.X, c.Y, c.TidX.Count(), c.TidY.Count()) <= gainEpsilon {
-		return greedyScore{}
-	}
-	gainF := s.gainDir(dataset.Left, c.TidX, c.Y)
-	gainB := s.gainDir(dataset.Right, c.TidY, c.X)
-	lenUni := s.coder.RuleLen(c.X, c.Y, false)
-	lenBi := s.coder.RuleLen(c.X, c.Y, true)
-
-	best := Rule{X: c.X, Dir: Forward, Y: c.Y}
-	bestGain := gainF - lenUni
-	if g := gainB - lenUni; g > bestGain {
-		best, bestGain = Rule{X: c.X, Dir: Backward, Y: c.Y}, g
-	}
-	if g := gainF + gainB - lenBi; g > bestGain {
-		best, bestGain = Rule{X: c.X, Dir: Both, Y: c.Y}, g
-	}
-	if bestGain <= gainEpsilon {
-		return greedyScore{}
-	}
-	return greedyScore{rule: best, gain: bestGain, ok: true}
 }

@@ -124,7 +124,7 @@ func (ps *PartialState) ScoreDir(target dataset.View, tids *bitset.Set, cons ite
 	lo, hi := ps.lo[target], ps.hi[target]
 	ucol, ecol := ps.ucol[target], ps.ecol[target]
 	cols := ps.d.Columns(target)
-	//lint:ctxprobe-ok bounded per-rule work (|cons| kernel calls); shard drivers probe ctx at message granularity
+	//lint:ctxprobe-ok bounded per-rule work (|cons| kernel calls); the sharded cover probes ctx at message granularity
 	for _, y := range cons {
 		if y < lo || y >= hi {
 			continue
@@ -159,10 +159,10 @@ func (ps *PartialState) ScoreRule(x, y itemset.Itemset, tidX, tidY *bitset.Set, 
 // CoverObserver observes, during PartialState.Apply, the covered tidset
 // of each owned consequent item — the transactions where the item just
 // moved from U to covered — in application order. The set is scratch:
-// observers must copy what they keep. The sharded EXACT driver ships
+// observers must copy what they keep. The sharded cover's EXACT runs ship
 // these tidsets in the apply acknowledgement so the coordinator can
-// maintain its transaction-granular bounds (TubMirror); the other
-// drivers pass nil and the counts alone suffice.
+// maintain its transaction-granular bounds (TubMirror); SELECT and
+// GREEDY runs pass nil and the counts alone suffice.
 type CoverObserver func(target dataset.View, item int, covered *bitset.Set)
 
 // Apply adds rule r to the partition — the owned slice of
@@ -332,7 +332,7 @@ func (ct *CoverTotals) Score(table *Table) float64 {
 // TubMirror maintains the transaction-based upper bounds tub(t) =
 // L(U_t | D_target) on the coordinator side of a sharded run, fed by
 // the per-item covered tidsets the shards' apply acknowledgements carry
-// (see CoverObserver). The sharded EXACT driver needs it for the
+// (see CoverObserver). The sharded cover's EXACT search needs it for the
 // monolith's item potential ordering (bestRule sorts by Σ tub), whose
 // float accumulation history must be reproduced exactly; SELECT and
 // GREEDY never read tub and run without one.

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"time"
-
-	"twoview/internal/dataset"
-)
+import "time"
 
 // IterationStats records one step of table construction. The series over
 // all iterations regenerates Fig. 2 of the paper (numbers of uncovered
@@ -23,14 +19,11 @@ type IterationStats struct {
 	CorrLenR   float64 // L(D_L→R | T) = L(C_R | T)
 }
 
-// TraceFunc observes each iteration of a TRANSLATOR algorithm as it runs.
-type TraceFunc func(IterationStats)
-
 // IterationFunc is the OnIteration progress hook shared by all three
-// miners: it observes each added rule like TraceFunc and additionally
-// steers the run — returning false stops mining cleanly after the
-// current iteration (the partial table is returned with a nil error).
-// It is invoked between search phases, never concurrently.
+// miners: it observes each added rule and steers the run — returning
+// false stops mining cleanly after the current iteration (the partial
+// table is returned with a nil error). A hook that only observes returns
+// true. It is invoked between search phases, never concurrently.
 type IterationFunc func(IterationStats) bool
 
 // Result is the output of a TRANSLATOR algorithm.
@@ -41,43 +34,28 @@ type Result struct {
 	Runtime    time.Duration
 }
 
-// record captures the state after adding rule r and appends it to the
-// result, forwarding to the trace and progress callbacks if any. It
-// reports whether mining should continue: false as soon as the
-// OnIteration hook asks for an early stop.
-func (res *Result) record(s *State, r Rule, gain float64, trace TraceFunc, onIter IterationFunc) bool {
-	it := IterationStats{
-		Iteration:  len(res.Iterations) + 1,
-		Rule:       r,
-		Gain:       gain,
-		Score:      s.Score(),
-		UncoveredL: s.UncoveredOnes(dataset.Left),
-		UncoveredR: s.UncoveredOnes(dataset.Right),
-		ErrorsL:    s.ErrorOnes(dataset.Left),
-		ErrorsR:    s.ErrorOnes(dataset.Right),
-		TableLen:   s.TableLen(),
-		CorrLenL:   s.CorrLen(dataset.Left),
-		CorrLenR:   s.CorrLen(dataset.Right),
-	}
+// record captures the cover's state after adding rule r and appends it
+// to the result, forwarding to the progress callback if any. It reports
+// whether mining should continue: false as soon as the OnIteration hook
+// asks for an early stop.
+func (res *Result) record(c cover, r Rule, gain float64, onIter IterationFunc) bool {
+	it := c.Stats()
+	it.Iteration = len(res.Iterations) + 1
+	it.Rule, it.Gain = r, gain
 	res.Iterations = append(res.Iterations, it)
-	if trace != nil {
-		trace(it)
-	}
-	if onIter != nil {
-		return onIter(it)
-	}
-	return true
+	return onIter == nil || onIter(it)
 }
 
-// GainEpsilon guards against accepting rules whose gain is positive
-// only through floating-point noise. Exported for the sharded engine
-// (internal/shard), which must apply the identical acceptance threshold
-// to stay bit-identical to the monolith.
-const GainEpsilon = 1e-9
+// finish fills in the final state, the table and the runtime.
+func (res *Result) finish(c cover, elapsed func() time.Duration) {
+	res.State = c.State()
+	res.Table = res.State.Table()
+	res.Runtime = elapsed()
+}
 
-// gainEpsilon is the package-internal name the miners predate the
-// export with.
-const gainEpsilon = GainEpsilon
+// gainEpsilon guards against accepting rules whose gain is positive
+// only through floating-point noise.
+const gainEpsilon = 1e-9
 
 // stopwatch starts timing and returns a function reporting the elapsed
 // wall time. It is the single sanctioned wall-clock read in this

@@ -6,7 +6,6 @@ import (
 
 	"twoview/internal/dataset"
 	"twoview/internal/mdl"
-	"twoview/internal/pool"
 )
 
 // This file implements TRANSLATOR-SELECT(k) (Algorithm 3): in each round,
@@ -16,12 +15,17 @@ import (
 // by a rule already added in the same round. Rounds repeat until no rule
 // improves compression.
 //
-// Both per-round loops run on the internal/pool worker pool: candidate
-// scoring partitions the candidates into fixed-size chunks (the chunk
-// size, not the worker count, fixes the output order), and the Line-8
-// re-check gains of the selected top-k rules are precomputed in parallel
-// before the serial add walk (see the state-invariance note at
-// recheckGains).
+// The driver runs over a cover backend (see cover.go): each round is one
+// Score call over the candidates the state-free quick bound admits, and
+// every accepted rule one Apply.
+//
+// Line 8's re-check of a selected rule against the current table needs
+// no second evaluation: a rule is only added if its X and Y are disjoint
+// from every itemset already used in this round, and rules added earlier
+// in the round change the cover only at items of their own X and Y. A
+// rule that passes the overlap filter therefore reads exactly the
+// round-start state at its turn, and its re-check gain (0+a)+b−c equals
+// the scored a+b−c bit for bit (Rule.Len is Coder.RuleLen).
 
 // SelectOptions configures MineSelect.
 type SelectOptions struct {
@@ -30,65 +34,67 @@ type SelectOptions struct {
 	K int
 	// MaxRules stops after this many rules in total; 0 means no limit.
 	MaxRules int
-	// Trace observes each added rule.
-	Trace TraceFunc
 	// OnIteration observes each added rule and may stop the run early by
 	// returning false (the partial table is returned with a nil error).
 	OnIteration IterationFunc
-	// ParallelOptions sets the worker-pool size for per-round scoring
-	// and re-checking; results are identical for any value.
+	// ParallelOptions sets the worker-pool size for per-round scoring;
+	// results are identical for any value.
 	ParallelOptions
-}
-
-type scoredRule struct {
-	rule Rule
-	gain float64
-	cand int // candidate index, for cached tidsets
 }
 
 // MineSelect runs TRANSLATOR-SELECT(k) over the given candidates.
 //
 // Cancelling ctx aborts the run at the next checkpoint (a round
-// boundary or a task boundary inside the scoring/re-check phases) and
-// returns the table mined so far alongside ctx.Err(). With an
-// uncancelled context the result is bit-identical for every worker
-// count and the error is nil.
+// boundary or a task boundary inside the scoring phase) and returns the
+// table mined so far alongside ctx.Err(). With an uncancelled context
+// the result is bit-identical for every worker count and the error is
+// nil.
 func MineSelect(ctx context.Context, d *dataset.Dataset, cands []Candidate, opt SelectOptions) (*Result, error) {
-	if m, err := shardEngine(opt.ParallelOptions); err != nil {
-		return nil, err
-	} else if m != nil {
-		return m.MineSelect(ctx, d, cands, opt)
-	}
 	elapsed := stopwatch()
 	if opt.K < 1 {
 		opt.K = 1
 	}
 	coder := mdl.NewCoder(d)
-	s := NewState(d, coder)
-	res := &Result{State: s}
+	c, err := OpenCover(ctx, d, coder, cands, nil, opt.ParallelOptions)
+	if err != nil {
+		return nil, err
+	}
+	defer c.Close()
+	res := &Result{}
 
-	// All rounds submit their phases to one persistent runtime (the
-	// workers park between rounds instead of being relaunched) and reuse
-	// one set of session-pooled buffers: the scored-rule slice, the
-	// Line-8 gain slice, and the per-round used-item masks all reach a
-	// steady state where rounds allocate nothing.
-	rt := opt.runtime()
+	// The round buffers come from the session's scratch pool, so rounds
+	// (and repeated runs) reach a steady state where they allocate
+	// nothing: the survivors and their rule lengths, the per-round
+	// gains and scored rules, and the per-round used-item masks.
 	sc := opt.getScratch()
-	scored := sc.scored[:0]
+	survivors := qubSurvivors(coder, cands, sc.idx[:0])
+	lens := sc.lens[:0]
+	for _, ci := range survivors {
+		cd := &cands[ci]
+		lens = append(lens, [2]float64{coder.RuleLen(cd.X, cd.Y, false), coder.RuleLen(cd.X, cd.Y, true)})
+	}
+	gains, scored := sc.gains[:0], sc.scored[:0]
 	usedL, usedR := &sc.usedL, &sc.usedR
-	var err error
 	stopped := false
 	for !stopped {
 		if err = ctx.Err(); err != nil {
 			break
 		}
-		if opt.MaxRules > 0 && len(s.table.Rules) >= opt.MaxRules {
+		if opt.MaxRules > 0 && len(res.Iterations) >= opt.MaxRules {
 			break
 		}
 		// Line 3: select the k rules with the highest Δ_{D,T} among all
 		// rules constructible from the candidates.
-		if scored, err = scoreCandidates(ctx, rt, s, cands, scored[:0], opt.Workers); err != nil {
+		if gains, err = c.Score(ctx, survivors, gains[:0]); err != nil {
 			break
+		}
+		scored = scored[:0]
+		for i, ci := range survivors {
+			for _, sr := range instantiate(&cands[ci], gains[i], lens[i][0], lens[i][1]) {
+				if sr.gain > gainEpsilon {
+					scored = append(scored, sr)
+				}
+			}
 		}
 		if len(scored) == 0 {
 			break
@@ -102,49 +108,27 @@ func MineSelect(ctx context.Context, d *dataset.Dataset, cands []Candidate, opt 
 		if len(scored) > opt.K {
 			scored = scored[:opt.K]
 		}
-		// Precomputing the Line-8 gains of all selected rules is
-		// speculative (overlap-filtered rules never consult theirs), so
-		// only do it when there are workers to amortize it; the serial
-		// walk computes each needed gain lazily at its turn instead.
-		var gains []float64
-		if opt.workerCount(len(scored)) > 1 {
-			if sc.gains, err = recheckGains(ctx, rt, s, cands, scored, sc.gains, opt.Workers); err != nil {
-				break
-			}
-			gains = sc.gains
-		}
 
 		// Lines 5-10: add the selected rules, skipping rules whose
 		// itemsets overlap items already used in this round (their gain
 		// has changed and they may no longer belong to the top-k). The
-		// used items are tracked as per-view bitmasks, reset (not
-		// reallocated) each round.
+		// scored gain doubles as the Line-8 re-check (see the file
+		// comment). The used items are tracked as per-view bitmasks,
+		// reset (not reallocated) each round.
 		usedL.Reset(d.Items(dataset.Left))
 		usedR.Reset(d.Items(dataset.Right))
 		added := false
-		for i, sr := range scored {
-			if opt.MaxRules > 0 && len(s.table.Rules) >= opt.MaxRules {
+		for _, sr := range scored {
+			if opt.MaxRules > 0 && len(res.Iterations) >= opt.MaxRules {
 				break
 			}
 			if anyIn(sr.rule.X, usedL) || anyIn(sr.rule.Y, usedR) {
 				continue
 			}
-			// Line 8: the rule must still improve compression against
-			// the *current* table; the precomputed gains[i] is exactly
-			// that gain (see recheckGains), and the lazy serial
-			// computation trivially is.
-			var gain float64
-			if gains != nil {
-				gain = gains[i]
-			} else {
-				c := &cands[sr.cand]
-				gain = s.GainWithTids(sr.rule, c.TidX, c.TidY)
+			if err = c.Apply(sr.rule); err != nil {
+				break
 			}
-			if gain <= gainEpsilon {
-				continue
-			}
-			s.AddRule(sr.rule)
-			if !res.record(s, sr.rule, gain, opt.Trace, opt.OnIteration) {
+			if !res.record(c, sr.rule, sr.gain, opt.OnIteration) {
 				stopped = true
 			}
 			for _, it := range sr.rule.X {
@@ -158,91 +142,13 @@ func MineSelect(ctx context.Context, d *dataset.Dataset, cands []Candidate, opt 
 				break // OnIteration asked for an early stop
 			}
 		}
-		if !added {
+		if err != nil || !added {
 			break
 		}
 	}
-	sc.scored = scored // hand the grown capacity back to the pool
+	// Hand the grown capacities back to the pool.
+	sc.idx, sc.lens, sc.gains, sc.scored = survivors, lens, gains, scored
 	opt.putScratch(sc)
-	res.Table = s.Table()
-	res.Runtime = elapsed()
+	res.finish(c, elapsed)
 	return res, err
-}
-
-// scoreChunk is the fixed candidate-chunk size of the scoring pass. It
-// bounds the scheduling granularity; because it never depends on the
-// worker count, the chunked output order — and hence the result — is
-// identical for every worker count.
-const scoreChunk = 256
-
-// scoreCandidates computes the positive-gain rules of every candidate,
-// appending to dst (reused across rounds). Scoring only reads the
-// state, so fixed-size candidate chunks are distributed over the pool
-// and their outputs concatenated in chunk order — i.e. candidate index
-// order, exactly what the serial path appends directly; the caller's
-// subsequent sort imposes a total order on top.
-func scoreCandidates(ctx context.Context, rt *pool.Runtime, s *State, cands []Candidate, dst []scoredRule, workers int) ([]scoredRule, error) {
-	tasks := (len(cands) + scoreChunk - 1) / scoreChunk
-	if pool.Size(workers, tasks) <= 1 {
-		// The serial pass probes ctx at the same chunk granularity the
-		// parallel path gets from its task boundaries, so cancellation
-		// latency does not depend on the worker count. Chunked scoring
-		// appends exactly what one pass would.
-		for lo := 0; lo < len(cands); lo += scoreChunk {
-			if err := ctx.Err(); err != nil {
-				return dst, err
-			}
-			dst = scoreRange(s, cands, lo, min(lo+scoreChunk, len(cands)), dst)
-		}
-		return dst, nil
-	}
-	return pool.MapChunksIntoCtxOn(rt, ctx, dst, workers, len(cands), scoreChunk, func(lo, hi int) []scoredRule {
-		return scoreRange(s, cands, lo, hi, nil)
-	})
-}
-
-// recheckGains returns, for each selected rule, its gain against the
-// current table (the Line-8 re-check), computed in parallel before the
-// serial add walk into dst's reused storage.
-//
-// Precomputing is exact, not heuristic: a rule is only added if its X
-// and Y are disjoint from every itemset already used in this round, and
-// rules added earlier in the round modify the correction state (U, E)
-// only at items of their own X and Y. A rule that passes the overlap
-// filter therefore reads exactly the same state entries at its turn in
-// the walk as at the start of the round, so the gain computed here is
-// bit-identical to the one the serial loop would compute mid-round.
-// Rules that fail the filter never have their gain consulted.
-func recheckGains(ctx context.Context, rt *pool.Runtime, s *State, cands []Candidate, scored []scoredRule, dst []float64, workers int) ([]float64, error) {
-	return pool.MapOrderedIntoCtxOn(rt, ctx, dst, workers, len(scored), func(i int) float64 {
-		c := &cands[scored[i].cand]
-		return s.GainWithTids(scored[i].rule, c.TidX, c.TidY)
-	})
-}
-
-// scoreRange scores candidates [lo, hi), appending positive-gain rules.
-func scoreRange(s *State, cands []Candidate, lo, hi int, dst []scoredRule) []scoredRule {
-	coder := s.coder
-	for ci := lo; ci < hi; ci++ {
-		c := &cands[ci]
-		// qub bounds all three directions; a candidate that cannot
-		// reach positive gain is skipped without exact evaluation.
-		if s.Qub(c.X, c.Y, c.TidX.Count(), c.TidY.Count()) <= gainEpsilon {
-			continue
-		}
-		gainF := s.gainDir(dataset.Left, c.TidX, c.Y)
-		gainB := s.gainDir(dataset.Right, c.TidY, c.X)
-		lenUni := coder.RuleLen(c.X, c.Y, false)
-		lenBi := coder.RuleLen(c.X, c.Y, true)
-		for _, sr := range [3]scoredRule{
-			{Rule{X: c.X, Dir: Forward, Y: c.Y}, gainF - lenUni, ci},
-			{Rule{X: c.X, Dir: Backward, Y: c.Y}, gainB - lenUni, ci},
-			{Rule{X: c.X, Dir: Both, Y: c.Y}, gainF + gainB - lenBi, ci},
-		} {
-			if sr.gain > gainEpsilon {
-				dst = append(dst, sr)
-			}
-		}
-	}
-	return dst
 }

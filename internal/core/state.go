@@ -213,9 +213,7 @@ func (s *State) GainWithTids(r Rule, tidX, tidY *bitset.Set) float64 {
 // L(X↔Y). It cannot be used for subtree pruning but safely skips exact
 // gain computations.
 func (s *State) Qub(x, y itemset.Itemset, suppX, suppY int) float64 {
-	return float64(suppX)*s.coder.SetLen(dataset.Right, y) +
-		float64(suppY)*s.coder.SetLen(dataset.Left, x) -
-		s.coder.RuleLen(x, y, true)
+	return qub(s.coder, x, y, suppX, suppY)
 }
 
 // Rub returns the rule-based upper bound rub(X ◇ Y) of §5.2: it bounds the

@@ -31,9 +31,9 @@ var Ctxprobe = &Analyzer{
 // internal/server is in scope because its handlers own per-request
 // deadlines: a serving loop that stops observing its context regresses
 // 504s back into held worker slots. internal/shard is in scope because
-// its drivers are the miners' round loops re-homed (DFS, speculation
-// windows, round gathers): a sharded loop that stops observing its
-// context turns cancellation into a wedged supervisor holding N shard
+// its cover runs the miners' rounds on the coordinator (EXACT's pair
+// DFS, round gathers): a sharded loop that stops observing its context
+// turns cancellation into a wedged supervisor holding N shard
 // goroutine groups. cmd/shardworker is in scope for the same reason on
 // the far side of the wire: a host loop that stops observing its
 // incarnation context would keep scoring for a coordinator that has
@@ -48,10 +48,8 @@ var ctxprobeScopes = []string{
 // internal/pool: calling one inside a loop makes that loop a
 // round-structured hot path.
 var poolPhaseFuncs = map[string]bool{
-	"Run": true, "RunErr": true, "RunCtx": true, "RunErrCtx": true,
-	"MapOrdered": true, "MapOrderedOn": true, "MapOrderedIntoOn": true,
-	"MapOrderedIntoCtxOn": true, "MapChunksInto": true,
-	"MapChunksIntoOn": true, "MapChunksIntoCtxOn": true,
+	"Run": true, "RunCtx": true, "RunErrCtx": true,
+	"MapOrderedIntoCtxOn": true, "MapChunksIntoCtxOn": true,
 }
 
 // kernelFuncs are the fused word-loop kernels of internal/bitset (the

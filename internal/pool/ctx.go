@@ -1,19 +1,20 @@
 package pool
 
-import "context"
+import (
+	"context"
+	"sync"
+)
 
-// Context-aware phase submission. Every primitive in this file is the
-// exact counterpart of its ctx-less sibling with one extra rule: once
-// ctx is cancelled, no new tasks are dispensed. Tasks already running
-// finish normally, the phase barrier releases as usual, and the Runtime
-// stays fully reusable — a cancelled phase drains its workers back to
-// the parked state instead of wedging them. The primitives then report
-// ctx.Err().
+// Context-aware phase submission. Every primitive in this file obeys
+// one cancellation rule: once ctx is cancelled, no new tasks are
+// dispensed. Tasks already running finish normally, the phase barrier
+// releases as usual, and the Runtime stays fully reusable — a cancelled
+// phase drains its workers back to the parked state instead of wedging
+// them. The primitives then report ctx.Err().
 //
 // The determinism contract is unaffected: with an uncancelled context
-// the per-task ctx.Err() probe reads nil and the execution is
-// instruction-for-instruction the one the ctx-less primitive performs,
-// so results stay bit-identical for every worker count. Under
+// the per-task ctx.Err() probe reads nil and every task runs, so
+// results stay bit-identical for every worker count. Under
 // cancellation the partial work is discarded by the callers (they
 // return the context error), so the schedule-dependence of *which*
 // tasks ran before the cut is never observable.
@@ -23,9 +24,10 @@ import "context"
 // their own periodic ctx probes — see the miners — so the latency of a
 // cancellation is bounded by a probe interval, not by a whole branch.
 
-// RunCtx is Run with a cancellation cut between tasks: when ctx is
-// cancelled, the dispensing of new tasks stops, running tasks finish,
-// and ctx.Err() is returned. A nil error means every task ran.
+// RunCtx executes fn(state, task) for every task in [0, tasks), like
+// Run, with a cancellation cut between tasks: when ctx is cancelled,
+// the dispensing of new tasks stops, running tasks finish, and
+// ctx.Err() is returned. A nil error means every task ran.
 func (p *Pool[S]) RunCtx(ctx context.Context, tasks int, fn func(s S, task int)) error {
 	if len(p.states) == 1 {
 		for t := 0; t < tasks; t++ {
@@ -46,27 +48,63 @@ func (p *Pool[S]) RunCtx(ctx context.Context, tasks int, fn func(s S, task int))
 	return ctx.Err()
 }
 
-// RunErrCtx is RunErr with the cancellation cut of RunCtx. When the
-// context is cancelled its error takes precedence over any task error:
-// task errors observed mid-cancellation are schedule-dependent, while
-// ctx.Err() is not.
+// RunErrCtx is RunCtx for fallible tasks. After the first failure no
+// new tasks are dispensed (running ones finish), and the error of the
+// lowest-indexed failed task among those that ran is returned. When the
+// failure condition is schedule-independent — the only use in this
+// repository is the ECLAT result-cap overflow, which trips in every
+// schedule iff the total result count exceeds the cap — the returned
+// error is deterministic too. When the context is cancelled its error
+// takes precedence over any task error: task errors observed
+// mid-cancellation are schedule-dependent, while ctx.Err() is not.
 func (p *Pool[S]) RunErrCtx(ctx context.Context, tasks int, fn func(s S, task int) error) error {
-	err := p.RunErr(tasks, func(s S, task int) error {
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		return fn(s, task)
-	})
 	if cerr := ctx.Err(); cerr != nil {
 		return cerr
 	}
-	return err
+	var first error
+	if len(p.states) == 1 {
+		for t := 0; t < tasks && first == nil; t++ {
+			if first = ctx.Err(); first == nil {
+				first = fn(p.states[0], t)
+			}
+		}
+	} else {
+		var (
+			mu    sync.Mutex
+			errAt = -1
+		)
+		p.rt.phase(len(p.states), tasks, func(slot, t int) bool {
+			err := ctx.Err()
+			if err == nil {
+				err = fn(p.states[slot], t)
+			}
+			if err == nil {
+				return true
+			}
+			mu.Lock()
+			if errAt < 0 || t < errAt {
+				errAt, first = t, err
+			}
+			mu.Unlock()
+			return false
+		})
+	}
+	if cerr := ctx.Err(); cerr != nil {
+		return cerr
+	}
+	return first
 }
 
-// MapOrderedIntoCtxOn is MapOrderedIntoOn with the cancellation cut of
-// RunCtx. On cancellation the returned slice (resized to length n, with
-// only some slots written) is scratch for reuse, never data: callers
-// must discard its contents alongside the returned ctx.Err().
+// MapOrderedIntoCtxOn returns out with out[i] = fn(i) for i in [0, n),
+// computed on rt (nil means Default) by up to `workers` executors
+// pulling indices dynamically, with the cancellation cut of RunCtx.
+// Each index writes only its own slot, so the result is independent of
+// the worker count. The result is written into dst's storage when its
+// capacity suffices (the returned slice always has length n), so
+// repeated callers can reuse one buffer; stale dst contents are never
+// read. On cancellation the returned slice (with only some slots
+// written) is scratch for reuse, never data: callers must discard its
+// contents alongside the returned ctx.Err().
 func MapOrderedIntoCtxOn[T any](rt *Runtime, ctx context.Context, dst []T, workers, n int, fn func(i int) T) ([]T, error) {
 	if cap(dst) >= n {
 		dst = dst[:n]
@@ -96,9 +134,15 @@ func MapOrderedIntoCtxOn[T any](rt *Runtime, ctx context.Context, dst []T, worke
 	return dst, ctx.Err()
 }
 
-// MapChunksIntoCtxOn is MapChunksIntoOn with the cancellation cut of
-// RunCtx. On cancellation the returned slice is dst unchanged (no
-// partial chunks are appended) alongside ctx.Err().
+// MapChunksIntoCtxOn splits [0, n) into chunks of the given size,
+// applies fn to each chunk (dynamically scheduled on rt; nil means
+// Default), and appends the per-chunk slices to dst in chunk order, so
+// repeated callers can reuse one destination buffer. Because the chunk
+// size is the caller's — never derived from the worker count — both the
+// per-chunk computations and the concatenation order are identical for
+// every worker count. On cancellation (the cut of RunCtx) the returned
+// slice is dst unchanged (no partial chunks are appended) alongside
+// ctx.Err().
 func MapChunksIntoCtxOn[T any](rt *Runtime, ctx context.Context, dst []T, workers, n, chunk int, fn func(lo, hi int) []T) ([]T, error) {
 	if n <= 0 {
 		return dst, ctx.Err()

@@ -90,15 +90,15 @@ func TestRunErrCtx(t *testing.T) {
 	}
 }
 
-// With an uncancelled context the ctx variants compute exactly what the
-// ctx-less primitives compute.
+// With an uncancelled context the map primitives on four workers
+// compute exactly what they compute on one.
 func TestCtxVariantsMatchPlainOnes(t *testing.T) {
 	rt := NewRuntime()
 	defer rt.Close()
 	n := 500
 	fn := func(i int) int { return i * i }
 
-	want := MapOrderedOn(rt, 4, n, fn)
+	want, _ := MapOrderedIntoCtxOn(rt, context.Background(), nil, 1, n, fn)
 	got, err := MapOrderedIntoCtxOn(rt, context.Background(), nil, 4, n, fn)
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +116,7 @@ func TestCtxVariantsMatchPlainOnes(t *testing.T) {
 		}
 		return out
 	}
-	wantC := MapChunksIntoOn(rt, nil, 4, n, 64, chunkFn)
+	wantC, _ := MapChunksIntoCtxOn(rt, context.Background(), nil, 1, n, 64, chunkFn)
 	gotC, err := MapChunksIntoCtxOn(rt, context.Background(), nil, 4, n, 64, chunkFn)
 	if err != nil {
 		t.Fatal(err)

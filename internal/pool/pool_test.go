@@ -1,6 +1,7 @@
 package pool
 
 import (
+	"context"
 	"errors"
 	"sort"
 	"sync"
@@ -75,7 +76,7 @@ func TestCounter(t *testing.T) {
 // Every task must run exactly once, on some worker's own state.
 func TestPoolRunCoversAllTasks(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 7} {
-		p := New(workers, func(w int) *[]int { return new([]int) })
+		p := NewOn(nil, workers, func(w int) *[]int { return new([]int) })
 		p.Run(100, func(s *[]int, task int) { *s = append(*s, task) })
 		var all []int
 		for _, s := range p.States() {
@@ -95,7 +96,7 @@ func TestPoolRunCoversAllTasks(t *testing.T) {
 
 // Sequential phases over the same pool share worker states.
 func TestPoolPhases(t *testing.T) {
-	p := New(3, func(w int) *int { return new(int) })
+	p := NewOn(nil, 3, func(w int) *int { return new(int) })
 	p.Run(30, func(s *int, _ int) { *s++ })
 	p.Run(12, func(s *int, _ int) { *s++ })
 	total := 0
@@ -110,8 +111,8 @@ func TestPoolPhases(t *testing.T) {
 func TestPoolRunErr(t *testing.T) {
 	errBoom := errors.New("boom")
 	for _, workers := range []int{1, 2, 4} {
-		p := New(workers, func(w int) struct{} { return struct{}{} })
-		err := p.RunErr(50, func(_ struct{}, task int) error {
+		p := NewOn(nil, workers, func(w int) struct{} { return struct{}{} })
+		err := p.RunErrCtx(context.Background(), 50, func(_ struct{}, task int) error {
 			if task >= 10 {
 				return errBoom
 			}
@@ -120,7 +121,7 @@ func TestPoolRunErr(t *testing.T) {
 		if !errors.Is(err, errBoom) {
 			t.Fatalf("workers=%d: err = %v, want boom", workers, err)
 		}
-		if err := p.RunErr(20, func(struct{}, int) error { return nil }); err != nil {
+		if err := p.RunErrCtx(context.Background(), 20, func(struct{}, int) error { return nil }); err != nil {
 			t.Fatalf("workers=%d: unexpected error %v", workers, err)
 		}
 	}
@@ -128,19 +129,22 @@ func TestPoolRunErr(t *testing.T) {
 
 func TestMapOrdered(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 7} {
-		out := MapOrdered(workers, 100, func(i int) int { return i * i })
+		out, err := MapOrderedIntoCtxOn(nil, context.Background(), nil, workers, 100, func(i int) int { return i * i })
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i, v := range out {
 			if v != i*i {
 				t.Fatalf("workers=%d: out[%d] = %d", workers, i, v)
 			}
 		}
 	}
-	if out := MapOrdered(4, 0, func(i int) int { return i }); len(out) != 0 {
+	if out, _ := MapOrderedIntoCtxOn(nil, context.Background(), nil, 4, 0, func(i int) int { return i }); len(out) != 0 {
 		t.Fatal("empty map not empty")
 	}
 }
 
-// MapChunksInto output must be the in-order concatenation, independent of
+// MapChunksIntoCtxOn output must be the in-order concatenation, independent of
 // worker count, including chunks that produce a variable number of
 // results.
 func TestMapChunksIntoDeterministic(t *testing.T) {
@@ -153,9 +157,10 @@ func TestMapChunksIntoDeterministic(t *testing.T) {
 		}
 		return out
 	}
-	want := MapChunksInto(nil, 1, 1000, 64, fn)
+	ctx := context.Background()
+	want, _ := MapChunksIntoCtxOn(nil, ctx, nil, 1, 1000, 64, fn)
 	for _, workers := range []int{2, 4, 7} {
-		got := MapChunksInto(nil, workers, 1000, 64, fn)
+		got, _ := MapChunksIntoCtxOn(nil, ctx, nil, workers, 1000, 64, fn)
 		if len(got) != len(want) {
 			t.Fatalf("workers=%d: %d results, want %d", workers, len(got), len(want))
 		}
@@ -167,7 +172,7 @@ func TestMapChunksIntoDeterministic(t *testing.T) {
 	}
 }
 
-// MapChunksInto must append to the destination and reuse its capacity
+// MapChunksIntoCtxOn must append to the destination and reuse its capacity
 // when it suffices (the per-round buffer-reuse pattern of MineSelect).
 func TestMapChunksInto(t *testing.T) {
 	fn := func(lo, hi int) []int {
@@ -177,16 +182,17 @@ func TestMapChunksInto(t *testing.T) {
 		}
 		return out
 	}
-	got := MapChunksInto([]int{-1}, 4, 100, 16, fn)
+	ctx := context.Background()
+	got, _ := MapChunksIntoCtxOn(nil, ctx, []int{-1}, 4, 100, 16, fn)
 	if len(got) != 101 || got[0] != -1 || got[1] != 0 || got[100] != 99 {
 		t.Fatalf("prefix not preserved: len=%d got[0]=%d", len(got), got[0])
 	}
 	buf := make([]int, 0, 256)
-	out := MapChunksInto(buf, 4, 100, 16, fn)
+	out, _ := MapChunksIntoCtxOn(nil, ctx, buf, 4, 100, 16, fn)
 	if &out[:1][0] != &buf[:1][0] {
 		t.Fatal("sufficient capacity was not reused")
 	}
-	if out2 := MapChunksInto(nil, 3, 0, 16, fn); len(out2) != 0 {
+	if out2, _ := MapChunksIntoCtxOn(nil, ctx, nil, 3, 0, 16, fn); len(out2) != 0 {
 		t.Fatal("n=0 must return dst unchanged")
 	}
 }

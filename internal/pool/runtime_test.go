@@ -1,6 +1,7 @@
 package pool
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -46,11 +47,11 @@ func TestRuntimeSharedAcrossPools(t *testing.T) {
 		}
 	}
 	var total atomic.Int64
-	out := MapOrderedOn(rt, 4, 100, func(i int) int { total.Add(1); return i })
+	out, _ := MapOrderedIntoCtxOn(rt, context.Background(), nil, 4, 100, func(i int) int { total.Add(1); return i })
 	if len(out) != 100 || total.Load() != 100 {
-		t.Fatalf("MapOrderedOn: len=%d calls=%d", len(out), total.Load())
+		t.Fatalf("MapOrderedIntoCtxOn: len=%d calls=%d", len(out), total.Load())
 	}
-	chunks := MapChunksIntoOn(rt, nil, 4, 100, 8, func(lo, hi int) []int {
+	chunks, _ := MapChunksIntoCtxOn(rt, context.Background(), nil, 4, 100, 8, func(lo, hi int) []int {
 		out := make([]int, 0, hi-lo)
 		for i := lo; i < hi; i++ {
 			out = append(out, i)
@@ -59,7 +60,7 @@ func TestRuntimeSharedAcrossPools(t *testing.T) {
 	})
 	for i, v := range chunks {
 		if v != i {
-			t.Fatalf("MapChunksIntoOn: chunks[%d] = %d", i, v)
+			t.Fatalf("MapChunksIntoCtxOn: chunks[%d] = %d", i, v)
 		}
 	}
 }
@@ -102,7 +103,7 @@ func TestRuntimePanicDoesNotWedgeWorkers(t *testing.T) {
 // Panic propagation on the serial (inline) path needs no recovery
 // machinery but must behave the same.
 func TestRuntimePanicSerial(t *testing.T) {
-	p := New(1, func(w int) struct{} { return struct{}{} })
+	p := NewOn(nil, 1, func(w int) struct{} { return struct{}{} })
 	defer func() {
 		if recover() == nil {
 			t.Fatal("serial panic did not propagate")
@@ -139,12 +140,12 @@ func TestPoolEdgeCases(t *testing.T) {
 	if ran {
 		t.Fatal("zero-task phase ran a task")
 	}
-	if err := p.RunErr(0, func(*[]int, int) error { return nil }); err != nil {
-		t.Fatalf("zero-task RunErr: %v", err)
+	if err := p.RunErrCtx(context.Background(), 0, func(*[]int, int) error { return nil }); err != nil {
+		t.Fatalf("zero-task RunErrCtx: %v", err)
 	}
 }
 
-// RunErr on the runtime: failures stop dispensing, the runtime stays
+// RunErrCtx on the runtime: failures stop dispensing, the runtime stays
 // usable, and the phase barrier releases with undispensed tasks
 // refunded.
 func TestRuntimeRunErrStops(t *testing.T) {
@@ -152,7 +153,7 @@ func TestRuntimeRunErrStops(t *testing.T) {
 	defer rt.Close()
 	p := NewOn(rt, 4, func(w int) struct{} { return struct{}{} })
 	var dispensed atomic.Int64
-	err := p.RunErr(10_000, func(_ struct{}, task int) error {
+	err := p.RunErrCtx(context.Background(), 10_000, func(_ struct{}, task int) error {
 		dispensed.Add(1)
 		if task >= 5 {
 			return errBoom{}
@@ -169,7 +170,7 @@ func TestRuntimeRunErrStops(t *testing.T) {
 	var ran atomic.Int64
 	p.Run(32, func(struct{}, int) { ran.Add(1) })
 	if ran.Load() != 32 {
-		t.Fatalf("%d tasks ran after RunErr stop, want 32", ran.Load())
+		t.Fatalf("%d tasks ran after RunErrCtx stop, want 32", ran.Load())
 	}
 }
 

@@ -161,7 +161,7 @@ func TestChaosNetConnDropMidScore(t *testing.T) {
 		return actForward
 	})
 
-	res, stats, err := mineSelect(context.Background(), d, cands, core.SelectOptions{K: 3},
+	res, stats, err := mineSharded(context.Background(), d, cands, core.SelectOptions{K: 3},
 		Config{Shards: 2, Workers: 2, Addrs: []string{proxy.addr()}, Lease: chaosNetLease, RedialBackoff: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +199,7 @@ func TestChaosNetPartialReplyThenClose(t *testing.T) {
 		return actForward
 	})
 
-	res, stats, err := mineGreedy(context.Background(), d, cands, core.GreedyOptions{BlockSize: 16},
+	res, stats, err := mineSharded(context.Background(), d, cands, core.GreedyOptions{BlockSize: 16},
 		Config{Shards: 2, Workers: 1, Addrs: []string{proxy.addr()}, Lease: chaosNetLease, RedialBackoff: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -232,7 +232,7 @@ func TestChaosNetDuplicatedReplies(t *testing.T) {
 		return actForward
 	})
 
-	res, stats, err := mineSelect(context.Background(), d, cands, core.SelectOptions{K: 3},
+	res, stats, err := mineSharded(context.Background(), d, cands, core.SelectOptions{K: 3},
 		Config{Shards: 3, Workers: 2, Addrs: []string{proxy.addr()}, Lease: chaosNetLease})
 	if err != nil {
 		t.Fatal(err)
@@ -281,7 +281,7 @@ func TestChaosNetWorkerRestartCacheHit(t *testing.T) {
 		return true
 	}
 
-	res, stats, err := mineSelect(context.Background(), d, cands,
+	res, stats, err := mineSharded(context.Background(), d, cands,
 		core.SelectOptions{K: 3, OnIteration: onIter},
 		Config{Shards: 2, Workers: 2, Addrs: []string{addr}, Lease: chaosNetLease, RedialBackoff: 5 * time.Millisecond})
 	if err != nil {

@@ -52,7 +52,7 @@ func TestChaosShardCrashMidScore(t *testing.T) {
 	}
 
 	fault.Set("shard.task", fault.Action{Skip: 3, Panic: "chaos: poisoned scoring task"})
-	res, stats, err := mineSelect(context.Background(), d, cands,
+	res, stats, err := mineSharded(context.Background(), d, cands,
 		core.SelectOptions{K: 3}, Config{Shards: 3, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +78,7 @@ func TestChaosShardCrashOnReceive(t *testing.T) {
 	}
 
 	fault.Set("shard.recv", fault.Action{Skip: 2, Panic: "chaos: killed on receive"})
-	res, stats, err := mineGreedy(context.Background(), d, cands,
+	res, stats, err := mineSharded(context.Background(), d, cands,
 		core.GreedyOptions{BlockSize: 16}, Config{Shards: 2, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +105,7 @@ func TestChaosShardDelayPastLease(t *testing.T) {
 
 	lease := leaseForTest
 	fault.Set("shard.recv", fault.Action{Delay: 6 * lease})
-	res, stats, err := mineSelect(context.Background(), d, cands,
+	res, stats, err := mineSharded(context.Background(), d, cands,
 		core.SelectOptions{K: 2}, Config{Shards: 3, Workers: 1, Lease: lease})
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +129,7 @@ func TestChaosShardDroppedReply(t *testing.T) {
 	}
 
 	fault.Set("shard.reply", fault.Action{Err: errors.New("chaos: completion lost")})
-	res, stats, err := mineSelect(context.Background(), d, cands,
+	res, stats, err := mineSharded(context.Background(), d, cands,
 		core.SelectOptions{K: 3}, Config{Shards: 2, Workers: 2, Lease: leaseForTest})
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +155,7 @@ func TestChaosShardDuplicateReply(t *testing.T) {
 	dup := errors.New("chaos: duplicate delivery")
 	fault.Set("shard.reply.dup",
 		fault.Action{Err: dup}, fault.Action{Err: dup}, fault.Action{Err: dup})
-	res, stats, err := mineSelect(context.Background(), d, cands,
+	res, stats, err := mineSharded(context.Background(), d, cands,
 		core.SelectOptions{K: 3}, Config{Shards: 3, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +190,7 @@ func TestChaosShardCrashDuringApplyAndReplay(t *testing.T) {
 	// second rule's apply on one shard, whose log then holds rule 1.
 	fault.Set("shard.apply", fault.Action{Skip: 2, Panic: "chaos: killed mid-apply"})
 	fault.Set("shard.replay", fault.Action{Panic: "chaos: killed mid-replay"})
-	res, stats, err := mineSelect(context.Background(), d, cands,
+	res, stats, err := mineSharded(context.Background(), d, cands,
 		core.SelectOptions{K: 3}, Config{Shards: 2, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -220,7 +220,7 @@ func TestChaosShardExactCompoundSchedule(t *testing.T) {
 
 	fault.Set("shard.task", fault.Action{Skip: 10, Panic: "chaos: poisoned pair task"})
 	fault.Set("shard.apply", fault.Action{Panic: "chaos: killed mid-apply"})
-	res, stats, err := mineExact(context.Background(), d,
+	res, stats, err := mineSharded(context.Background(), d, nil,
 		core.ExactOptions{}, Config{Shards: 2, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +240,7 @@ func TestChaosShardRestartBudgetExhausted(t *testing.T) {
 
 	boom := fault.Action{Panic: "chaos: persistent crash"}
 	fault.Set("shard.recv", boom, boom, boom, boom)
-	_, _, err := mineSelect(context.Background(), d, cands,
+	_, _, err := mineSharded(context.Background(), d, cands,
 		core.SelectOptions{K: 3}, Config{Shards: 2, Workers: 1, MaxRestarts: 1})
 	if err == nil {
 		t.Fatal("a persistently crashing shard must fail the run")

@@ -1,11 +1,24 @@
-// Package shard is the supervised sharded mining engine behind
-// core.ParallelOptions.Shards: the columnar cover state is partitioned
-// by item range into N shard goroutine groups that own their ucol/ecol
-// columns privately (core.PartialState) and exchange only small
-// messages with a coordinator — no shared State. The engine runs all
-// three TRANSLATOR searches (EXACT, SELECT, GREEDY) bit-identical to
-// the monolithic in-process miners for every shard count, worker
-// count, and injected failure schedule.
+// Package shard is the sharded cover backend under core's TRANSLATOR
+// drivers, behind core.ParallelOptions.Shards. It is not a second
+// implementation of the searches: core.MineExact, MineSelect and
+// MineGreedy are written once, against a cover backend that scores
+// candidate batches into directional gains, applies accepted rules,
+// reports the iteration statistics and final State, and runs EXACT's
+// best-rule search. This package implements that backend with the
+// columnar cover state partitioned by item range into N shard
+// goroutine groups that own their ucol/ecol columns privately
+// (core.PartialState) and exchange only small messages with a
+// coordinator — no shared State. Its answers are bit-identical to the
+// monolithic State's for every shard count, worker count, and injected
+// failure schedule, so the drivers mine the same tables on either
+// backend. An init function registers the cover's constructor with
+// core (core.RegisterShardCover), since core cannot import this
+// package.
+//
+// The only search logic here is EXACT's pair enumeration (exact.go):
+// it runs on the coordinator without rub pruning, evaluating batches of
+// pairs through SCORE rounds, because rub would need per-node traffic
+// to every shard.
 //
 // # Architecture
 //

@@ -11,12 +11,13 @@ import (
 	"twoview/internal/itemset"
 )
 
-// This file is the sharded TRANSLATOR-EXACT driver. The enumeration —
-// the ECLAT-style DFS over occurring pairs, in the monolith's exact
-// item order — runs on the coordinator, which owns every float the
-// search ranks by; the shards evaluate batches of enumerated pairs
-// (integer counts only) and apply accepted rules. Three deliberate
-// differences from the monolith, none observable in the result:
+// This file is the sharded cover's EXACT best-rule search
+// (cover.BestRule). The enumeration — the ECLAT-style DFS over
+// occurring pairs, in the monolith's exact item order — runs on the
+// coordinator, which owns every float the search ranks by; the shards
+// evaluate batches of enumerated pairs (integer counts only). Three
+// deliberate differences from the monolith, none observable in the
+// result:
 //
 //   - No rub pruning and no seed phase: both only shrink the set of
 //     evaluated pairs, and the pruning threshold is always an achieved
@@ -36,10 +37,10 @@ import (
 //     coordinator's TubMirror, maintained from the covered tidsets the
 //     apply acknowledgements carry — the identical update history, so
 //     the identical float bits — instead of from a live State.
-type exactDriver struct {
-	r    *run
-	opt  core.ExactOptions
-	tubm *core.TubMirror
+type exactSearch struct {
+	r          *run
+	disableQub bool
+	tubm       *core.TubMirror
 
 	// ctx of the current bestRule call, probed inside the DFS at the
 	// monolith's granularity.
@@ -102,57 +103,22 @@ const exactBatch = 256
 // granularity: one ctx.Err() per 1024 extensions.
 const exactCtxProbeMask = 1<<10 - 1
 
-func newExactDriver(r *run, opt core.ExactOptions, tubm *core.TubMirror) *exactDriver {
+func newExactSearch(r *run, disableQub bool, tubm *core.TubMirror) *exactSearch {
 	n := r.d.Size()
-	ed := &exactDriver{r: r, opt: opt, tubm: tubm}
-	ed.full = bitset.New(n)
-	ed.full.Fill()
-	ed.fullY, ed.fullXY = ed.full.Clone(), ed.full.Clone()
-	return ed
-}
-
-func mineExact(ctx context.Context, d *dataset.Dataset, opt core.ExactOptions, cfg Config) (*core.Result, *runStats, error) {
-	elapsed := stopwatch()
-	r := newRun(ctx, d, nil, cfg)
-	defer r.close()
-
-	totals := core.NewCoverTotals(d, r.coder)
-	tubm := core.NewTubMirror(d, r.coder)
-	table := &core.Table{}
-	res := &core.Result{}
-	ed := newExactDriver(r, opt, tubm)
-
-	var err error
-	for opt.MaxRules == 0 || len(table.Rules) < opt.MaxRules {
-		if err = ctx.Err(); err != nil {
-			break
-		}
-		var rule core.Rule
-		var gain float64
-		var ok bool
-		if rule, gain, ok, err = ed.bestRule(ctx); err != nil || !ok || gain <= core.GainEpsilon {
-			break
-		}
-		if err = applyRule(r, totals, tubm, table, rule); err != nil {
-			break
-		}
-		if !record(res, r, totals, table, rule, gain, opt.Trace, opt.OnIteration) {
-			break
-		}
-	}
-	res.Table = table
-	res.State = core.EvaluateTable(d, r.coder, table)
-	res.Runtime = elapsed()
-	return res, r.stats(), err
+	es := &exactSearch{r: r, disableQub: disableQub, tubm: tubm}
+	es.full = bitset.New(n)
+	es.full.Fill()
+	es.fullY, es.fullXY = es.full.Clone(), es.full.Clone()
+	return es
 }
 
 // bestRule finds argmax_r Δ_{D,T}(r) with the monolith's deterministic
 // tie-break: enumerate in the potential-sorted item order, evaluate
 // through SCORE rounds, keep the champion.
-func (ed *exactDriver) bestRule(ctx context.Context) (core.Rule, float64, bool, error) {
-	d := ed.r.d
-	ed.ctx = ctx
-	items := ed.items[:0]
+func (es *exactSearch) bestRule(ctx context.Context) (core.Rule, float64, bool, error) {
+	d := es.r.d
+	es.ctx = ctx
+	items := es.items[:0]
 	for _, v := range []dataset.View{dataset.Left, dataset.Right} {
 		cols := d.Columns(v)
 		for i := 0; i < d.Items(v); i++ {
@@ -163,8 +129,8 @@ func (ed *exactDriver) bestRule(ctx context.Context) (core.Rule, float64, bool, 
 				view: v,
 				id:   i,
 				col:  cols[i],
-				len:  ed.r.coder.ItemLen(v, i),
-				pot:  ed.tubm.SumTub(v.Opposite(), cols[i]),
+				len:  es.r.coder.ItemLen(v, i),
+				pot:  es.tubm.SumTub(v.Opposite(), cols[i]),
 			})
 		}
 	}
@@ -180,42 +146,42 @@ func (ed *exactDriver) bestRule(ctx context.Context) (core.Rule, float64, bool, 
 			return a.id - b.id
 		}
 	})
-	ed.items = items
-	ed.best, ed.bestGain, ed.found = core.Rule{}, 0, false
+	es.items = items
+	es.best, es.bestGain, es.found = core.Rule{}, 0, false
 
 	for k := range items {
-		if err := ed.extend(nil, nil, ed.full, ed.fullY, ed.fullXY, k, 0, 0, 0); err != nil {
+		if err := es.extend(nil, nil, es.full, es.fullY, es.fullXY, k, 0, 0, 0); err != nil {
 			return core.Rule{}, 0, false, err
 		}
 	}
-	if err := ed.flush(); err != nil {
+	if err := es.flush(); err != nil {
 		return core.Rule{}, 0, false, err
 	}
-	if !ed.found {
+	if !es.found {
 		return core.Rule{}, 0, false, nil
 	}
-	return core.Rule{X: ed.best.X.Clone(), Dir: ed.best.Dir, Y: ed.best.Y.Clone()}, ed.bestGain, true, nil
+	return core.Rule{X: es.best.X.Clone(), Dir: es.best.Dir, Y: es.best.Y.Clone()}, es.bestGain, true, nil
 }
 
-func (ed *exactDriver) bufs(depth int) *exLevel {
-	for len(ed.levels) <= depth {
-		n := ed.r.d.Size()
-		ed.levels = append(ed.levels, exLevel{xy: bitset.New(n), side: bitset.New(n)})
+func (es *exactSearch) bufs(depth int) *exLevel {
+	for len(es.levels) <= depth {
+		n := es.r.d.Size()
+		es.levels = append(es.levels, exLevel{xy: bitset.New(n), side: bitset.New(n)})
 	}
-	return &ed.levels[depth]
+	return &es.levels[depth]
 }
 
 // extend grows the pair (x, y) by the item at position k, enqueues the
 // result for evaluation when both sides are non-empty, and recurses
 // into positions > k — the monolith's extend minus the rub arithmetic.
-func (ed *exactDriver) extend(x, y itemset.Itemset, tidX, tidY, tidXY *bitset.Set, k, depth int, lenX, lenY float64) error {
-	if ed.ticks++; ed.ticks&exactCtxProbeMask == 0 {
-		if err := ed.ctx.Err(); err != nil {
+func (es *exactSearch) extend(x, y itemset.Itemset, tidX, tidY, tidXY *bitset.Set, k, depth int, lenX, lenY float64) error {
+	if es.ticks++; es.ticks&exactCtxProbeMask == 0 {
+		if err := es.ctx.Err(); err != nil {
 			return err
 		}
 	}
-	it := ed.items[k]
-	bufs := ed.bufs(depth)
+	it := es.items[k]
+	bufs := es.bufs(depth)
 	childXY := bufs.xy
 	bitset.IntersectInto(childXY, tidXY, it.col)
 	if childXY.Empty() {
@@ -239,12 +205,12 @@ func (ed *exactDriver) extend(x, y itemset.Itemset, tidX, tidY, tidXY *bitset.Se
 		clenY += it.len
 	}
 	if len(cx) > 0 && len(cy) > 0 {
-		if err := ed.enqueue(cx, cy, ctX, ctY, clenX, clenY); err != nil {
+		if err := es.enqueue(cx, cy, ctX, ctY, clenX, clenY); err != nil {
 			return err
 		}
 	}
-	for k2 := k + 1; k2 < len(ed.items); k2++ {
-		if err := ed.extend(cx, cy, ctX, ctY, childXY, k2, depth+1, clenX, clenY); err != nil {
+	for k2 := k + 1; k2 < len(es.items); k2++ {
+		if err := es.extend(cx, cy, ctX, ctY, childXY, k2, depth+1, clenX, clenY); err != nil {
 			return err
 		}
 	}
@@ -266,14 +232,14 @@ func insertItemInto(dst itemset.Itemset, x, y itemset.Itemset, it exItem) itemse
 
 // enqueue records an enumerated pair for the next SCORE round, flushing
 // a full batch.
-func (ed *exactDriver) enqueue(x, y itemset.Itemset, tidX, tidY *bitset.Set, lenX, lenY float64) error {
-	ed.batch = append(ed.batch, pairEval{
+func (es *exactSearch) enqueue(x, y itemset.Itemset, tidX, tidY *bitset.Set, lenX, lenY float64) error {
+	es.batch = append(es.batch, pairEval{
 		x: x.Clone(), y: y.Clone(),
 		suppX: tidX.Count(), suppY: tidY.Count(),
 		lenX: lenX, lenY: lenY,
 	})
-	if len(ed.batch) >= exactBatch {
-		return ed.flush()
+	if len(es.batch) >= exactBatch {
+		return es.flush()
 	}
 	return nil
 }
@@ -284,42 +250,37 @@ func (ed *exactDriver) enqueue(x, y itemset.Itemset, tidX, tidY *bitset.Set, len
 // tie-break), run one SCORE round over the survivors, fold the counts
 // into the three directions' gains with the monolith's arithmetic, and
 // update the champion under its exact comparison rule.
-func (ed *exactDriver) flush() error {
-	if len(ed.batch) == 0 {
+func (es *exactSearch) flush() error {
+	if len(es.batch) == 0 {
 		return nil
 	}
-	batch := ed.batch
-	ed.batch = ed.batch[:0]
-	keep := ed.keep[:0]
-	pairs := ed.pairs[:0]
+	batch := es.batch
+	es.batch = es.batch[:0]
+	keep := es.keep[:0]
+	pairs := es.pairs[:0]
 	for i := range batch {
 		pe := &batch[i]
-		if !ed.opt.DisableQub {
+		if !es.disableQub {
 			qub := float64(pe.suppX)*pe.lenY + float64(pe.suppY)*pe.lenX - (pe.lenX + pe.lenY + 1)
-			if qub < ed.bestGain {
+			if qub < es.bestGain {
 				continue
 			}
 		}
 		keep = append(keep, i)
 		pairs = append(pairs, pairMsg{x: pe.x, y: pe.y})
 	}
-	ed.keep, ed.pairs = keep, pairs
+	es.keep, es.pairs = keep, pairs
 	if len(pairs) == 0 {
 		return nil
 	}
-	reps, err := ed.r.sv.scorePairs(pairs)
+	reps, err := es.r.sv.scorePairs(pairs)
 	if err != nil {
 		return err
 	}
-	r := ed.r
 	for pi, bi := range keep {
 		pe := &batch[bi]
-		for p, rep := range reps {
-			r.fwdParts[p] = rep.counts[pi].Fwd
-			r.backParts[p] = rep.counts[pi].Back
-		}
-		gainF := core.GainFromCounts(r.coder, dataset.Right, r.fwdParts...)
-		gainB := core.GainFromCounts(r.coder, dataset.Left, r.backParts...)
+		g := es.r.fold(reps, pi)
+		gainF, gainB := g[0], g[1]
 		lenBi := pe.lenX + pe.lenY + 1
 		lenUni := pe.lenX + pe.lenY + 2
 		for _, cand := range [3]struct {
@@ -331,11 +292,11 @@ func (ed *exactDriver) flush() error {
 			{core.Both, gainF + gainB - lenBi},
 		} {
 			rl := core.Rule{X: pe.x, Dir: cand.dir, Y: pe.y}
-			if cand.gain > ed.bestGain ||
-				(ed.found && cand.gain == ed.bestGain && rl.Compare(ed.best) < 0) {
-				ed.best = rl
-				ed.bestGain = cand.gain
-				ed.found = true
+			if cand.gain > es.bestGain ||
+				(es.found && cand.gain == es.bestGain && rl.Compare(es.best) < 0) {
+				es.best = rl
+				es.bestGain = cand.gain
+				es.found = true
 			}
 		}
 	}

@@ -87,6 +87,39 @@ func mustCandidates(t testing.TB, d *dataset.Dataset) []core.Candidate {
 	return cands
 }
 
+// mineSharded runs core's driver for opt's algorithm (a core.ExactOptions,
+// SelectOptions or GreedyOptions; cands is unused for EXACT) over a shard
+// cover built from cfg, and returns the run's supervision counters with
+// the result. cfg carries knobs ParallelOptions does not (leases, restart
+// budget, redial backoff), so the helper swaps the registered cover
+// constructor for the call; shard tests run serially, so nothing mines
+// concurrently with the swap.
+func mineSharded(ctx context.Context, d *dataset.Dataset, cands []core.Candidate, opt any, cfg Config) (*core.Result, *runStats, error) {
+	var c *cover
+	core.RegisterShardCover(func(ctx context.Context, d *dataset.Dataset, cands []core.Candidate, exact *core.ExactOptions, _ core.ParallelOptions) *cover {
+		c = newCover(ctx, d, cands, exact, cfg)
+		return c
+	})
+	defer core.RegisterShardCover(openCover)
+	par := core.ParallelOptions{Shards: max(cfg.Shards, 1), Workers: cfg.Workers}
+	var res *core.Result
+	var err error
+	switch o := opt.(type) {
+	case core.ExactOptions:
+		o.ParallelOptions = par
+		res, err = core.MineExact(ctx, d, o)
+	case core.SelectOptions:
+		o.ParallelOptions = par
+		res, err = core.MineSelect(ctx, d, cands, o)
+	case core.GreedyOptions:
+		o.ParallelOptions = par
+		res, err = core.MineGreedy(ctx, d, cands, o)
+	default:
+		panic(fmt.Sprintf("mineSharded: unsupported options %T", opt))
+	}
+	return res, c.r.stats(), err
+}
+
 // sameResult asserts got is bit-identical to the reference: the table
 // rule-for-rule, every recorded iteration float-for-float, and the
 // final state score.

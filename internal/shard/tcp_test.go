@@ -183,7 +183,7 @@ func TestTCPShardedMatchesMonolith(t *testing.T) {
 		for _, workers := range tcpWorkers {
 			cfg := Config{Shards: shards, Workers: workers, Addrs: addrs}
 
-			res, st, err := mineExact(ctx, d, core.ExactOptions{}, cfg)
+			res, st, err := mineSharded(ctx, d, nil, core.ExactOptions{}, cfg)
 			if err != nil {
 				t.Fatalf("tcp exact shards=%d workers=%d: %v", shards, workers, err)
 			}
@@ -194,7 +194,7 @@ func TestTCPShardedMatchesMonolith(t *testing.T) {
 			totalBlobs += st.blobsSent
 			totalHits += st.cacheHits
 
-			res, st, err = mineSelect(ctx, d, cands, core.SelectOptions{K: 3}, cfg)
+			res, st, err = mineSharded(ctx, d, cands, core.SelectOptions{K: 3}, cfg)
 			if err != nil {
 				t.Fatalf("tcp select shards=%d workers=%d: %v", shards, workers, err)
 			}
@@ -202,7 +202,7 @@ func TestTCPShardedMatchesMonolith(t *testing.T) {
 			totalBlobs += st.blobsSent
 			totalHits += st.cacheHits
 
-			res, st, err = mineGreedy(ctx, d, cands, core.GreedyOptions{BlockSize: 16}, cfg)
+			res, st, err = mineSharded(ctx, d, cands, core.GreedyOptions{BlockSize: 16}, cfg)
 			if err != nil {
 				t.Fatalf("tcp greedy shards=%d workers=%d: %v", shards, workers, err)
 			}
@@ -297,7 +297,7 @@ func BenchmarkShardTCPLoopback(b *testing.B) {
 	b.Run("inproc", func(b *testing.B) {
 		cfg := Config{Shards: 2, Workers: 2}
 		for i := 0; i < b.N; i++ {
-			if _, _, err := mineSelect(ctx, d, cands, opt, cfg); err != nil {
+			if _, _, err := mineSharded(ctx, d, cands, opt, cfg); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -308,7 +308,7 @@ func BenchmarkShardTCPLoopback(b *testing.B) {
 		cfg := Config{Shards: 2, Workers: 2, Addrs: []string{w1.addr, w2.addr}}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := mineSelect(ctx, d, cands, opt, cfg); err != nil {
+			if _, _, err := mineSharded(ctx, d, cands, opt, cfg); err != nil {
 				b.Fatal(err)
 			}
 		}
