@@ -226,3 +226,12 @@ type scoredRule struct {
 	rule Rule
 	gain float64
 }
+
+// before is SELECT's total order on scored rules: gain descending, then
+// Rule.Compare.
+func (a scoredRule) before(b scoredRule) bool {
+	if a.gain != b.gain {
+		return a.gain > b.gain
+	}
+	return a.rule.Compare(b.rule) < 0
+}

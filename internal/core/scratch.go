@@ -7,20 +7,26 @@ import (
 )
 
 // miningScratch holds the per-call working buffers of the round-structured
-// miners (the qub survivors and MineSelect's rule lengths, per-round gains,
-// scored rules and used-item masks; MineGreedy's candidate order and
-// window gains). The buffers are recycled through the Session (or, for
-// sessionless calls, a package-wide pool), so repeated mining calls in one
-// session reach a steady state where rounds allocate nothing. Scratch never
+// miners (the qub survivors and MineSelect's rule lengths, cached gains,
+// re-scored batches, selected rules and per-round item masks;
+// MineGreedy's candidate order and window gains). The buffers are
+// recycled through the Session (or, for sessionless calls, a
+// package-wide pool), so repeated mining calls in one session reach a
+// steady state where rounds allocate nothing. Scratch never
 // influences results: every buffer is either truncated to zero length or
 // fully overwritten before it is read.
 type miningScratch struct {
 	idx    []int32      // qub survivors (GREEDY: in walk order)
 	lens   [][2]float64 // SELECT: survivors' rule lengths (uni, bi)
-	gains  [][2]float64 // per-round / per-window (gainF, gainB)
-	scored []scoredRule // SELECT: per-round scored rules
+	gains  [][2]float64 // SELECT: cached (gainF, gainB); GREEDY: per window
+	fresh  [][2]float64 // SELECT: the re-scored batch's gains
+	batch  []int32      // SELECT: dirty survivors' candidate indices
+	at     []int32      // SELECT: their positions among the survivors
+	top    []scoredRule // SELECT: the round's k best rules
 	usedL  bitset.Set   // SELECT: items used this round, left view
 	usedR  bitset.Set   // SELECT: items used this round, right view
+	dirtyL bitset.Set   // SELECT: left-view consequents applied this round
+	dirtyR bitset.Set   // SELECT: right-view consequents applied this round
 }
 
 // defaultScratchPool recycles scratch for callers without a Session.

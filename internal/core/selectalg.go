@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"sort"
 
 	"twoview/internal/dataset"
 	"twoview/internal/mdl"
@@ -15,9 +14,29 @@ import (
 // by a rule already added in the same round. Rounds repeat until no rule
 // improves compression.
 //
-// The driver runs over a cover backend (see cover.go): each round is one
-// Score call over the candidates the state-free quick bound admits, and
-// every accepted rule one Apply.
+// The driver runs over a cover backend (see cover.go): every accepted
+// rule is one Apply, and the gains come from Score calls over the
+// candidates the state-free quick bound admits.
+//
+// Only the first round scores every survivor. The driver caches each
+// survivor's (gainF, gainB) across rounds and re-scores only the dirty
+// ones, which is exact: gainF = gainDir(Left, TidX, Y) reads nothing of
+// the cover but the right-view ucol/ecol columns of the items of Y, and
+// gainB = gainDir(Right, TidY, X) only the left-view columns of X;
+// Apply changes only the columns of the accepted rule's consequents (Y
+// in the right view when the rule applies from the left, X in the left
+// view when it applies from the right). A survivor whose Y misses every
+// right-view consequent applied since its gains were computed, and
+// whose X misses every left-view one, therefore reads exactly the
+// columns it read then, and a fresh Score would return its cached gains
+// bit for bit. The per-view dirty masks collect one round's consequents;
+// the next round re-scores the survivors that meet them and writes the
+// fresh gains back in place.
+//
+// The k best rules are kept in a bounded insertion list under the same
+// total order a full sort would use (gain descending, then
+// Rule.Compare), so the selection equals the first k of the sorted
+// rules.
 //
 // Line 8's re-check of a selected rule against the current table needs
 // no second evaluation: a rule is only added if its X and Y are disjoint
@@ -64,8 +83,9 @@ func MineSelect(ctx context.Context, d *dataset.Dataset, cands []Candidate, opt 
 
 	// The round buffers come from the session's scratch pool, so rounds
 	// (and repeated runs) reach a steady state where they allocate
-	// nothing: the survivors and their rule lengths, the per-round
-	// gains and scored rules, and the per-round used-item masks.
+	// nothing: the survivors and their rule lengths, the cached gains,
+	// the re-scored batch, the selected rules and the per-round item
+	// masks.
 	sc := opt.getScratch()
 	survivors := qubSurvivors(coder, cands, sc.idx[:0])
 	lens := sc.lens[:0]
@@ -73,10 +93,13 @@ func MineSelect(ctx context.Context, d *dataset.Dataset, cands []Candidate, opt 
 		cd := &cands[ci]
 		lens = append(lens, [2]float64{coder.RuleLen(cd.X, cd.Y, false), coder.RuleLen(cd.X, cd.Y, true)})
 	}
-	gains, scored := sc.gains[:0], sc.scored[:0]
+	gains, fresh := sc.gains[:0], sc.fresh[:0]
+	batch, at := sc.batch[:0], sc.at[:0]
+	top := sc.top[:0]
 	usedL, usedR := &sc.usedL, &sc.usedR
+	dirtyL, dirtyR := &sc.dirtyL, &sc.dirtyR
 	stopped := false
-	for !stopped {
+	for round := 0; !stopped; round++ {
 		if err = ctx.Err(); err != nil {
 			break
 		}
@@ -84,58 +107,82 @@ func MineSelect(ctx context.Context, d *dataset.Dataset, cands []Candidate, opt 
 			break
 		}
 		// Line 3: select the k rules with the highest Δ_{D,T} among all
-		// rules constructible from the candidates.
-		if gains, err = c.Score(ctx, survivors, gains[:0]); err != nil {
-			break
-		}
-		scored = scored[:0]
-		for i, ci := range survivors {
-			for _, sr := range instantiate(&cands[ci], gains[i], lens[i][0], lens[i][1]) {
-				if sr.gain > gainEpsilon {
-					scored = append(scored, sr)
+		// rules constructible from the candidates. The first round
+		// scores every survivor, later ones the dirty survivors only
+		// (see the file comment).
+		if round == 0 {
+			gains, err = c.Score(ctx, survivors, gains)
+		} else {
+			batch, at = batch[:0], at[:0]
+			for i, ci := range survivors {
+				cd := &cands[ci]
+				if anyIn(cd.Y, dirtyR) || anyIn(cd.X, dirtyL) {
+					batch = append(batch, ci)
+					at = append(at, int32(i))
+				}
+			}
+			if fresh, err = c.Score(ctx, batch, fresh[:0]); err == nil {
+				for j, i := range at {
+					gains[i] = fresh[j]
 				}
 			}
 		}
-		if len(scored) == 0 {
+		if err != nil {
 			break
 		}
-		sort.Slice(scored, func(a, b int) bool {
-			if scored[a].gain != scored[b].gain {
-				return scored[a].gain > scored[b].gain
+		top = top[:0]
+		for i, ci := range survivors {
+			for _, sr := range instantiate(&cands[ci], gains[i], lens[i][0], lens[i][1]) {
+				if sr.gain > gainEpsilon {
+					top = pushTop(top, sr, opt.K)
+				}
 			}
-			return scored[a].rule.Compare(scored[b].rule) < 0
-		})
-		if len(scored) > opt.K {
-			scored = scored[:opt.K]
+		}
+		if len(top) == 0 {
+			break
 		}
 
 		// Lines 5-10: add the selected rules, skipping rules whose
 		// itemsets overlap items already used in this round (their gain
 		// has changed and they may no longer belong to the top-k). The
 		// scored gain doubles as the Line-8 re-check (see the file
-		// comment). The used items are tracked as per-view bitmasks,
-		// reset (not reallocated) each round.
+		// comment). The used items and the consequents the next round
+		// must re-score are tracked as per-view bitmasks, reset (not
+		// reallocated) each round.
 		usedL.Reset(d.Items(dataset.Left))
 		usedR.Reset(d.Items(dataset.Right))
+		dirtyL.Reset(d.Items(dataset.Left))
+		dirtyR.Reset(d.Items(dataset.Right))
 		added := false
-		for _, sr := range scored {
+		for _, sr := range top {
 			if opt.MaxRules > 0 && len(res.Iterations) >= opt.MaxRules {
 				break
 			}
-			if anyIn(sr.rule.X, usedL) || anyIn(sr.rule.Y, usedR) {
+			r := sr.rule
+			if anyIn(r.X, usedL) || anyIn(r.Y, usedR) {
 				continue
 			}
-			if err = c.Apply(sr.rule); err != nil {
+			if err = c.Apply(r); err != nil {
 				break
 			}
-			if !res.record(c, sr.rule, sr.gain, opt.OnIteration) {
+			if !res.record(c, r, sr.gain, opt.OnIteration) {
 				stopped = true
 			}
-			for _, it := range sr.rule.X {
+			for _, it := range r.X {
 				usedL.Add(it)
 			}
-			for _, it := range sr.rule.Y {
+			for _, it := range r.Y {
 				usedR.Add(it)
+			}
+			if r.AppliesTo(dataset.Left) {
+				for _, it := range r.Y {
+					dirtyR.Add(it)
+				}
+			}
+			if r.AppliesTo(dataset.Right) {
+				for _, it := range r.X {
+					dirtyL.Add(it)
+				}
 			}
 			added = true
 			if stopped {
@@ -147,8 +194,31 @@ func MineSelect(ctx context.Context, d *dataset.Dataset, cands []Candidate, opt 
 		}
 	}
 	// Hand the grown capacities back to the pool.
-	sc.idx, sc.lens, sc.gains, sc.scored = survivors, lens, gains, scored
+	sc.idx, sc.lens, sc.gains, sc.fresh = survivors, lens, gains, fresh
+	sc.batch, sc.at, sc.top = batch, at, top
 	opt.putScratch(sc)
 	res.finish(c, elapsed)
 	return res, err
+}
+
+// pushTop inserts sr into top, which holds at most k rules sorted by
+// gain descending, then Rule.Compare; when top is full, the last rule
+// falls off, or sr is dropped when it would be last.
+func pushTop(top []scoredRule, sr scoredRule, k int) []scoredRule {
+	n := len(top)
+	if n == k {
+		if !sr.before(top[n-1]) {
+			return top
+		}
+		n--
+		top = top[:n]
+	}
+	i := n
+	for i > 0 && sr.before(top[i-1]) {
+		i--
+	}
+	top = append(top, scoredRule{})
+	copy(top[i+1:], top[i:n])
+	top[i] = sr
+	return top
 }

@@ -16,10 +16,11 @@ import (
 // the escape statically.
 //
 // Borrow sources are calls to sync.Pool.Get (through any type
-// assertion) and calls to functions or methods named getScratch — the
-// repo's blessed borrow-wrapper name. The wrappers themselves
-// (functions named getScratch) are exempt: returning the fresh borrow
-// is their job.
+// assertion) and calls to the registered scratch accessors
+// (scratchAccessors): getScratch, the blessed pool borrow-wrapper name,
+// and rowScratch, the ECLAT worker's closure accumulator, which is
+// overwritten by the worker's next closure call. The accessors
+// themselves are exempt: returning the buffer is their job.
 var Scratchescape = &Analyzer{
 	Name:      "scratchescape",
 	Directive: "scratchescape-ok",
@@ -30,6 +31,14 @@ var Scratchescape = &Analyzer{
 	Run: runScratchescape,
 }
 
+// scratchAccessors are the function and method names whose results
+// are scratch: valid only until the matching Put or the owner's next
+// use of the buffer.
+var scratchAccessors = map[string]bool{
+	"getScratch": true,
+	"rowScratch": true,
+}
+
 func runScratchescape(pass *Pass) error {
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
@@ -37,8 +46,8 @@ func runScratchescape(pass *Pass) error {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			if fd.Name.Name == "getScratch" {
-				continue // the borrow wrapper itself must return the borrow
+			if scratchAccessors[fd.Name.Name] {
+				continue // an accessor itself must return the scratch
 			}
 			pass.checkScratchFunc(fd)
 		}
@@ -129,7 +138,7 @@ func (p *Pass) checkScratchFunc(fd *ast.FuncDecl) {
 }
 
 // isBorrowCall matches `pool.Get()` on a sync.Pool (through any
-// unwrapping type assertion) and calls to get-scratch wrappers.
+// unwrapping type assertion) and calls to the scratch accessors.
 func (p *Pass) isBorrowCall(e ast.Expr) bool {
 	if ta, ok := e.(*ast.TypeAssertExpr); ok {
 		e = ta.X
@@ -142,7 +151,7 @@ func (p *Pass) isBorrowCall(e ast.Expr) bool {
 	if obj == nil {
 		return false
 	}
-	if obj.Name() == "getScratch" {
+	if scratchAccessors[obj.Name()] {
 		return true
 	}
 	if obj.Name() == "Get" && obj.Pkg() != nil && obj.Pkg().Path() == "sync" {

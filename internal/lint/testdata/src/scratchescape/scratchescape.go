@@ -65,3 +65,43 @@ func Handoff() *buffer {
 	//lint:scratchescape-ok fixture: caller assumes the Put obligation
 	return b
 }
+
+// walker mirrors the ECLAT worker: a per-worker accumulator handed out
+// by its rowScratch accessor and overwritten by the next closure.
+type walker struct {
+	acc []uint64
+	out [][]uint64
+}
+
+// Allowed: the accessor returns its own buffer.
+func (w *walker) rowScratch() []uint64 {
+	if w.acc == nil {
+		w.acc = make([]uint64, 4)
+	}
+	return w.acc
+}
+
+// Flagged: emitting the accumulator aliases every later closure.
+func (w *walker) Emit() []uint64 {
+	acc := w.rowScratch()
+	return acc // want `must not be returned`
+}
+
+// Flagged: storing the accumulator into a result field.
+func (h *holder) Keep(w *walker) {
+	acc := w.rowScratch()
+	h.scratch = &buffer{words: acc} // want `composite literal`
+}
+
+// Allowed: reading the accumulator within one closure, copying out.
+func (w *walker) Count() int {
+	acc := w.rowScratch()
+	n := 0
+	for _, x := range acc {
+		if x != 0 {
+			n++
+		}
+	}
+	w.out = append(w.out, append([]uint64(nil), acc...))
+	return n
+}

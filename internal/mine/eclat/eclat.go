@@ -20,13 +20,27 @@
 // tidsets of non-emitted nodes through a bitset.FreeList and builds
 // candidate itemsets in per-depth scratch buffers, so the only
 // allocations that survive warm-up are the emitted results themselves
-// (and none at all under DropTids). Emitted tidsets and itemsets are
-// caller-owned and never recycled.
+// (and no tidsets under DropTids). Emitted tidsets and itemsets are
+// caller-owned and never recycled. While the walk runs, each worker
+// keeps its results compact (see emitted): a walk that trips MaxResults
+// is thrown away, so the less it holds, the lower the peak memory of
+// MineCandidatesCapped's doubling.
+//
+// The closure of a node is occurrence-based, as in LCM (Uno, Kiyomi,
+// Arimura, "LCM ver. 2", FIMI'04): instead of testing every column for
+// containing the node's tidset, the walk intersects the joined rows of
+// the tidset's transactions in a per-worker accumulator, over a
+// row-major copy of the data built once per Mine call. The intersection
+// stops as soon as the accumulator has shrunk to the node's own
+// itemset, which on wide data is usually a handful of rows in; only the
+// few items that survive a full intersection go through the
+// prefix-preserving test.
 package eclat
 
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"twoview/internal/bitset"
@@ -108,6 +122,9 @@ type walk struct {
 	nLeft   int
 	cols    []*bitset.Set
 	order   []int         // frequent items in search order
+	rank    []int32       // joined item -> position in order (frequent items)
+	rows    []uint64      // joined rows, row-major, stride words per row
+	stride  int           // ⌈(nLeft+nRight)/64⌉
 	emitted *pool.Counter // MaxResults accounting across workers
 }
 
@@ -158,6 +175,9 @@ func Mine(ctx context.Context, d *dataset.Dataset, opt Options) ([]FI, error) {
 	})
 	w := &walk{d: d, ctx: ctx, opt: opt, nLeft: nL, cols: cols, order: freq,
 		emitted: new(pool.Counter)}
+	if opt.Closed {
+		w.indexRows(m)
+	}
 
 	all := bitset.New(d.Size())
 	all.Fill()
@@ -175,13 +195,15 @@ func Mine(ctx context.Context, d *dataset.Dataset, opt Options) ([]FI, error) {
 		return nil, err
 	}
 
-	total := 0
+	total, items := 0, 0
 	for _, mi := range p.States() {
-		total += len(mi.out)
+		total += len(mi.out.recs)
+		items += mi.out.items
 	}
 	out := make([]FI, 0, total)
+	store := make([]int, items) // backs every emitted itemset
 	for _, mi := range p.States() {
-		out = append(out, mi.out...)
+		out, store = mi.out.expand(out, store)
 	}
 	sort.Slice(out, func(a, b int) bool {
 		if out[a].Supp != out[b].Supp {
@@ -192,16 +214,110 @@ func Mine(ctx context.Context, d *dataset.Dataset, opt Options) ([]FI, error) {
 	return out, nil
 }
 
+// indexRows builds the closure's structures: every transaction as one
+// row of stride words over the joined alphabet (left items, then right
+// items at offset nLeft), and the search-order rank of every item.
+func (w *walk) indexRows(m int) {
+	w.stride = (m + 63) / 64
+	w.rows = make([]uint64, w.d.Size()*w.stride)
+	for t := 0; t < w.d.Size(); t++ {
+		row := w.rows[t*w.stride : (t+1)*w.stride]
+		w.d.Row(dataset.Left, t).ForEach(func(i int) bool {
+			row[i>>6] |= 1 << (i & 63)
+			return true
+		})
+		w.d.Row(dataset.Right, t).ForEach(func(i int) bool {
+			i += w.nLeft
+			row[i>>6] |= 1 << (i & 63)
+			return true
+		})
+	}
+	w.rank = make([]int32, m)
+	for r, it := range w.order {
+		w.rank[it] = int32(r)
+	}
+}
+
 // miner is one worker's share of the walk: the shared read-only
-// structures plus a private output slice and private recycling scratch
-// (the free-list of node tidsets and the per-depth itemset buffers).
+// structures plus a private output and private recycling scratch (the
+// free-list of node tidsets, the per-depth itemset buffers and the
+// closure accumulator).
 type miner struct {
 	*walk
-	out []FI
+	out emitted
 
 	free  bitset.FreeList   // tidsets of non-emitted nodes, recycled
 	sets  []itemset.Itemset // per-depth candidate/closure scratch
+	acc   []uint64          // closure's row-intersection accumulator
 	ticks uint              // node counter driving the periodic ctx probe
+}
+
+// emitted is one worker's output while the walk runs: the items of all
+// emitted itemsets as int32s, back to back in chunks of emitChunk, and
+// one 16-byte record per itemset. That is about a third of the memory
+// of FIs with their own item slices. Mine expands the records into FIs
+// once the walk has succeeded.
+type emitted struct {
+	chunks [][]int32
+	recs   []emitRec
+	tids   []*bitset.Set // per record, unless DropTids
+	items  int           // total items over recs
+}
+
+// emitRec locates one emitted itemset in its worker's chunks.
+type emitRec struct {
+	chunk, off, n, supp int32
+}
+
+// emitChunk is the number of items per chunk of emitted.
+const emitChunk = 4096
+
+// add records a copy of s with its support and, unless nil, its tidset.
+func (e *emitted) add(s itemset.Itemset, supp int, tids *bitset.Set) {
+	last := len(e.chunks) - 1
+	if last < 0 || len(s) > cap(e.chunks[last])-len(e.chunks[last]) {
+		e.chunks = append(e.chunks, make([]int32, 0, max(emitChunk, len(s))))
+		last++
+	}
+	c := e.chunks[last]
+	e.recs = append(e.recs, emitRec{chunk: int32(last), off: int32(len(c)), n: int32(len(s)), supp: int32(supp)})
+	for _, it := range s {
+		c = append(c, int32(it))
+	}
+	e.chunks[last] = c
+	e.items += len(s)
+	if tids != nil {
+		e.tids = append(e.tids, tids)
+	}
+}
+
+// expand appends the recorded itemsets to out as FIs whose items are
+// carved, capacity-capped, from the front of store; it returns both
+// advanced.
+func (e *emitted) expand(out []FI, store []int) ([]FI, []int) {
+	for j, r := range e.recs {
+		items := store[:r.n:r.n]
+		store = store[r.n:]
+		for k, it := range e.chunks[r.chunk][r.off : r.off+r.n] {
+			items[k] = int(it)
+		}
+		fi := FI{Items: items, Supp: int(r.supp)}
+		if e.tids != nil {
+			fi.Tids = e.tids[j]
+		}
+		out = append(out, fi)
+	}
+	return out, store
+}
+
+// rowScratch returns the worker's closure accumulator (stride words),
+// allocating it on first use. Its contents are only meaningful within
+// one closure call.
+func (m *miner) rowScratch() []uint64 {
+	if m.acc == nil {
+		m.acc = make([]uint64, m.stride)
+	}
+	return m.acc
 }
 
 // scratch returns the (emptied) itemset buffer of the given depth,
@@ -284,12 +400,11 @@ func (m *miner) branch(cur itemset.Itemset, tids *bitset.Set, k, depth int) erro
 	m.sets[depth] = next // remember grown capacity for reuse
 	retained := false
 	if emit != nil && (!m.opt.TwoView || m.isTwoView(emit)) {
-		fi := FI{Items: emit.Clone(), Supp: supp}
+		var tids *bitset.Set
 		if !m.opt.DropTids {
-			fi.Tids = child
-			retained = true
+			tids, retained = child, true
 		}
-		m.out = append(m.out, fi)
+		m.out.add(emit, supp, tids)
 		if m.opt.MaxResults > 0 && int(m.emitted.Add()) > m.opt.MaxResults {
 			return fmt.Errorf("eclat: more than %d itemsets; raise MinSupport", m.opt.MaxResults)
 		}
@@ -307,16 +422,41 @@ func (m *miner) branch(cur itemset.Itemset, tids *bitset.Set, k, depth int) erro
 // search order without being in cur (the ppc test). cur must live in the
 // caller's scratch buffer; the returned slice is the (possibly regrown)
 // same buffer.
+//
+// The items whose tidset contains tids are exactly the items of every
+// row in tids, so the closure intersects those rows in the worker's
+// accumulator. Every row holds all of cur, so the accumulator never
+// drops below cur: once its popcount equals len(cur) the closure is cur
+// itself and the remaining rows are skipped. Otherwise the surviving
+// items outside cur all occur at least |tids| ≥ MinSupport times, hence
+// have a search-order rank, which decides the ppc test.
 func (m *miner) closure(cur itemset.Itemset, tids *bitset.Set, k int) (itemset.Itemset, bool) {
-	// Each order position is visited once, so testing Contains against
-	// the growing set is equivalent to testing against the original cur:
-	// an item added by this loop is never revisited.
-	for r, it := range m.order {
-		if cur.Contains(it) {
-			continue
+	acc := m.rowScratch()
+	for j := range acc {
+		acc[j] = ^uint64(0)
+	}
+	for wi, w := range tids.Words() {
+		for ; w != 0; w &= w - 1 {
+			t := wi<<6 | bits.TrailingZeros64(w)
+			row := m.rows[t*m.stride : (t+1)*m.stride]
+			n := 0
+			for j, r := range row {
+				acc[j] &= r
+				n += bits.OnesCount64(acc[j])
+			}
+			if n == len(cur) {
+				return cur, true
+			}
 		}
-		if tids.SubsetOf(m.cols[it]) {
-			if r < k {
+	}
+	for _, it := range cur {
+		acc[it>>6] &^= 1 << (it & 63)
+	}
+	// Survivors come in ascending item order; each visits its rank once.
+	for wi, w := range acc {
+		for ; w != 0; w &= w - 1 {
+			it := wi<<6 | bits.TrailingZeros64(w)
+			if int(m.rank[it]) < k {
 				return nil, false
 			}
 			cur = insertInPlace(cur, it)

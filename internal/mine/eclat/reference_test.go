@@ -17,7 +17,9 @@ import (
 // allocations per node, no tidset reuse, no in-place itemset edits),
 // kept verbatim as an executable specification. The property tests
 // require the recycled walk to emit exactly the same FI sequence —
-// order included — on random datasets.
+// order included — on random datasets. The reference keeps the
+// column-walk closure (one SubsetOf per frequent item), so the same
+// tests pin the row-intersection closure to it.
 
 // referenceMine mirrors Mine with the seed allocation behavior, serial.
 func referenceMine(d *dataset.Dataset, opt Options) ([]FI, error) {
@@ -198,6 +200,85 @@ func TestRecyclingMatchesReference(t *testing.T) {
 			}
 		}
 	}
+	// Wide data: multi-word rows and tidsets, the view split inside a
+	// word, closures that grow and ppc rejections.
+	w := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 6; trial++ {
+		d := wideDataset(w)
+		for _, opt := range wideMixes {
+			want, refErr := referenceMine(d, opt)
+			if refErr != nil {
+				t.Fatal(refErr)
+			}
+			for _, workers := range []int{1, 2, 4} {
+				opt.Workers = workers
+				got, err := Mine(context.Background(), d, opt)
+				if err != nil {
+					t.Fatalf("wide trial %d workers %d: %v", trial, workers, err)
+				}
+				sameFIs(t, got, want, "wide trial/workers mix")
+			}
+		}
+	}
+}
+
+// wideMixes are the closed option mixes run on wideDataset.
+var wideMixes = []Options{
+	{MinSupport: 2, Closed: true},
+	{MinSupport: 2, Closed: true, TwoView: true, MaxItems: 4},
+}
+
+// wideDataset draws a sparse dataset of 60-70 items per view and 70-200
+// rows, so rows span two or three words with the left/right split inside
+// a word, and tidsets span two to four words. A few planted itemsets
+// across both views, each in about a fifth of the rows, give closures
+// that grow beyond the generating itemset and nodes the ppc test
+// rejects.
+func wideDataset(r *rand.Rand) *dataset.Dataset {
+	nL, nR := 60+r.Intn(11), 60+r.Intn(11)
+	d := dataset.MustNew(dataset.GenericNames("l", nL), dataset.GenericNames("r", nR))
+	type plant struct{ left, right []int }
+	plants := make([]plant, 3)
+	for i := range plants {
+		plants[i] = plant{r.Perm(nL)[:2+r.Intn(3)], r.Perm(nR)[:2+r.Intn(3)]}
+	}
+	n := 70 + r.Intn(131)
+	for i := 0; i < n; i++ {
+		inL, inR := make([]bool, nL), make([]bool, nR)
+		for _, p := range plants {
+			if r.Intn(5) == 0 {
+				for _, j := range p.left {
+					inL[j] = true
+				}
+				for _, j := range p.right {
+					inR[j] = true
+				}
+			}
+		}
+		for j := 0; j < nL; j++ {
+			if r.Intn(25) == 0 {
+				inL[j] = true
+			}
+		}
+		for j := 0; j < nR; j++ {
+			if r.Intn(25) == 0 {
+				inR[j] = true
+			}
+		}
+		d.AddRow(setIndices(inL), setIndices(inR))
+	}
+	return d
+}
+
+// setIndices returns the positions of the true entries, ascending.
+func setIndices(in []bool) []int {
+	var out []int
+	for j, ok := range in {
+		if ok {
+			out = append(out, j)
+		}
+	}
+	return out
 }
 
 // quick.Check property: for arbitrary seeds, closed two-view mining
@@ -231,6 +312,31 @@ func TestQuickRecyclingMatchesReference(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+		t.Fatal(err)
+	}
+	wide := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		d := wideDataset(r)
+		opt := wideMixes[r.Intn(len(wideMixes))]
+		opt.MinSupport += r.Intn(3)
+		want, err := referenceMine(d, opt)
+		if err != nil {
+			return false
+		}
+		opt.Workers = 1 + r.Intn(4)
+		got, err := Mine(context.Background(), d, opt)
+		if err != nil || len(got) != len(want) {
+			return false
+		}
+		for i := range want {
+			if !got[i].Items.Equal(want[i].Items) || got[i].Supp != want[i].Supp ||
+				!got[i].Tids.Equal(want[i].Tids) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(wide, &quick.Config{MaxCount: 12}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"twoview/internal/core"
+	"twoview/internal/dataset"
 	"twoview/internal/itemset"
 	"twoview/internal/mdl"
 )
@@ -25,13 +26,7 @@ func TestCoverConformance(t *testing.T) {
 	for i := range idx {
 		idx[i] = int32(i)
 	}
-	rules := []core.Rule{
-		{X: itemset.New(0, 1), Dir: core.Forward, Y: itemset.New(0, 1)},
-		{X: itemset.New(2, 3), Dir: core.Backward, Y: itemset.New(2, 3)},
-		{X: itemset.New(4), Dir: core.Both, Y: itemset.New(4, 5)},
-		{X: itemset.New(0, 5), Dir: core.Backward, Y: itemset.New(1)},
-		{X: itemset.New(3), Dir: core.Forward, Y: itemset.New(2, 5)},
-	}
+	rules := coverRules
 	for _, tc := range []struct{ shards int }{{1}, {2}, {3}} {
 		t.Run(fmt.Sprintf("shards=%d", tc.shards), func(t *testing.T) {
 			mono, err := core.OpenCover(ctx, d, mdl.NewCoder(d), cands, nil, core.ParallelOptions{Workers: 2})
@@ -75,6 +70,92 @@ func TestCoverConformance(t *testing.T) {
 			}
 		})
 	}
+}
+
+// coverRules is the fixed →/←/↔ rule sequence the cover-level tests
+// apply.
+var coverRules = []core.Rule{
+	{X: itemset.New(0, 1), Dir: core.Forward, Y: itemset.New(0, 1)},
+	{X: itemset.New(2, 3), Dir: core.Backward, Y: itemset.New(2, 3)},
+	{X: itemset.New(4), Dir: core.Both, Y: itemset.New(4, 5)},
+	{X: itemset.New(0, 5), Dir: core.Backward, Y: itemset.New(1)},
+	{X: itemset.New(3), Dir: core.Forward, Y: itemset.New(2, 5)},
+}
+
+// TestCoverCleanGainsUnchanged pins the invariant behind SELECT's cached
+// gains at the backend layer: after each Apply of coverRules, every
+// candidate the rule leaves clean — its Y misses the rule's right-view
+// consequent (Y, when the rule applies from the left) and its X misses
+// the left-view one (X, when it applies from the right) — must score
+// bit for bit what it scored before the Apply, on the monolith and on
+// 1, 2 and 3 shards.
+func TestCoverCleanGainsUnchanged(t *testing.T) {
+	ctx := context.Background()
+	d := twoPlantDataset(t, 29)
+	cands := mustCandidates(t, d)
+	idx := make([]int32, len(cands))
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	for _, shards := range []int{0, 1, 2, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			var c interface {
+				Score(context.Context, []int32, [][2]float64) ([][2]float64, error)
+				Apply(core.Rule) error
+				Close()
+			}
+			if shards == 0 {
+				mono, err := core.OpenCover(ctx, d, mdl.NewCoder(d), cands, nil, core.ParallelOptions{Workers: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				c = mono
+			} else {
+				c = newCover(ctx, d, cands, nil, Config{Shards: shards, Workers: 2})
+			}
+			defer c.Close()
+			cached, err := c.Score(ctx, idx, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for step, r := range coverRules {
+				if err := c.Apply(r); err != nil {
+					t.Fatal(err)
+				}
+				fresh, err := c.Score(ctx, idx, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dirty := 0
+				for i, cd := range cands {
+					if r.AppliesTo(dataset.Left) && overlaps(cd.Y, r.Y) ||
+						r.AppliesTo(dataset.Right) && overlaps(cd.X, r.X) {
+						dirty++
+						continue
+					}
+					for dir, name := range [2]string{"gainF", "gainB"} {
+						if math.Float64bits(fresh[i][dir]) != math.Float64bits(cached[i][dir]) {
+							t.Fatalf("after rule %d (%v), clean candidate %d (%v|%v): %s = %v, cached %v",
+								step+1, r, i, cd.X, cd.Y, name, fresh[i][dir], cached[i][dir])
+						}
+					}
+				}
+				if dirty == 0 || dirty == len(cands) {
+					t.Fatalf("rule %d (%v) dirties %d of %d candidates; the check needs both kinds", step+1, r, dirty, len(cands))
+				}
+				cached = fresh
+			}
+		})
+	}
+}
+
+func overlaps(a, b itemset.Itemset) bool {
+	for _, i := range a {
+		if b.Contains(i) {
+			return true
+		}
+	}
+	return false
 }
 
 // sameStats asserts two covers report bit-identical IterationStats.

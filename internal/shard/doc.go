@@ -83,7 +83,11 @@
 //	SCORE     coordinator → shard: {seq, term, lease} plus either
 //	          candidate indices (SELECT/GREEDY: u32 indices into the
 //	          announced candidate list) or inline pairs (EXACT: two
-//	          item-id arrays per pair). Shard replies with, per entry,
+//	          item-id arrays per pair). SELECT's first round sends
+//	          every quick-bound survivor; later rounds send only the
+//	          candidates the previous round's accepted rules dirtied
+//	          (the driver caches the others' gains), so their frames
+//	          shrink with the round. Shard replies with, per entry,
 //	          the owned consequent items' (item, covered, errors)
 //	          integer triples in item order — both rule directions.
 //	          Zero triples may be run-length compressed on the wire;
