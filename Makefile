@@ -56,7 +56,7 @@ fuzz-smoke:
 # benchmarks under the default (striped) build and under the
 # -tags bitset_scalar differential build, back to back. Diff the two
 # outputs (or feed them to benchstat) to read the stripe speedups.
-BENCH_KERNELS = BenchmarkAndCount|BenchmarkAndNot|BenchmarkIntersectInto|BenchmarkWeightedSum|BenchmarkCount|BenchmarkEqual|BenchmarkSubsetOf|BenchmarkPhaseHandoff
+BENCH_KERNELS = BenchmarkAndCount|BenchmarkAndNot|BenchmarkCoverCounts|BenchmarkIntersectInto|BenchmarkWeightedSum|BenchmarkCount|BenchmarkEqual|BenchmarkSubsetOf|BenchmarkPhaseHandoff
 bench-kernels:
 	@echo '=== striped (default build) ==='
 	$(GO) test -run='^$$' -bench '$(BENCH_KERNELS)' -benchtime 200ms -count 3 ./internal/bitset/ ./internal/pool/

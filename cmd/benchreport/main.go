@@ -84,7 +84,7 @@ func main() {
 	log.SetPrefix("benchreport: ")
 
 	var (
-		bench     = flag.String("bench", "BenchmarkMine|BenchmarkApply|BenchmarkTranslator|BenchmarkAndCount|BenchmarkIntersectIntoSum|BenchmarkWeightedSum|BenchmarkPhaseHandoff|BenchmarkShardTCPLoopback", "benchmark regex passed to go test -bench (miners, the compiled serving path including the translatord load harness, the bitset kernels, the pool phase handoff, and the shard TCP loopback transport)")
+		bench     = flag.String("bench", "BenchmarkMine|BenchmarkApply|BenchmarkTranslator|BenchmarkAndCount|BenchmarkCoverCounts|BenchmarkIntersectIntoSum|BenchmarkWeightedSum|BenchmarkPhaseHandoff|BenchmarkShardTCPLoopback", "benchmark regex passed to go test -bench (miners, the compiled serving path including the translatord load harness, the bitset kernels, the pool phase handoff, and the shard TCP loopback transport)")
 		pkgs      = flag.String("pkgs", "./internal/core/ ./internal/bitset/ ./internal/pool/ ./internal/server/ ./internal/shard/", "space-separated package patterns to benchmark")
 		benchtime = flag.String("benchtime", "20x", "go test -benchtime value")
 		count     = flag.Int("count", 3, "go test -count value (min ns/op is kept)")

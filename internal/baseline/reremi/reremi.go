@@ -181,12 +181,12 @@ func bestExtension(d *dataset.Dataset, v dataset.View, q itemset.Itemset, suppQ,
 		if q.Contains(i) {
 			continue
 		}
-		bitset.IntersectInto(probe, suppQ, cols[i])
+		nProbe := bitset.IntersectInto(probe, suppQ, cols[i])
 		inter := bitset.AndCount(probe, suppOther)
 		if inter < minSupp {
 			continue
 		}
-		union := probe.Count() + suppOther.Count() - inter
+		union := nProbe + suppOther.Count() - inter
 		jac := float64(inter) / float64(union)
 		if jac > bestJac {
 			bestItem, bestJac = i, jac

@@ -198,26 +198,29 @@ func (s *Set) Xor(o *Set) {
 	xorWords(s.words, o.words)
 }
 
-// IntersectInto sets dst = a ∩ b, reusing dst's storage. All three must have
-// the same width. dst may alias a or b.
-func IntersectInto(dst, a, b *Set) {
+// IntersectInto sets dst = a ∩ b, reusing dst's storage, and returns
+// |dst| — counted in the same pass, so callers that need the support
+// of the intersection (or only whether it is empty) pay no second walk.
+// All three must have the same width. dst may alias a or b.
+func IntersectInto(dst, a, b *Set) int {
 	a.mustMatch(b)
 	a.mustMatch(dst)
-	intersectWords(dst.words, a.words, b.words)
+	return intersectWords(dst.words, a.words, b.words)
 }
 
 // IntersectIntoSum sets dst = a ∩ b like IntersectInto and returns
 // Σ_{i ∈ dst} w[i], accumulated in ascending bit order — the same order
 // as ForEach, so the sum is bit-identical to iterating the intersection
-// after the fact. The striped core only unrolls the word intersection;
-// the accumulation is still one addition per set bit in ascending bit
-// order, so the float result is bit-identical under both kernel builds
-// (that identity is part of the contract — the exact search's rub
-// bounds must not depend on the kernel build). w must cover the set
-// width. Fusing the intersection with the weighted sum saves the hot
-// search loops a second pass over the words (the exact search's rub
-// bound is a tub-weighted sum over every freshly intersected tidset).
-func IntersectIntoSum(dst, a, b *Set, w []float64) float64 {
+// after the fact — together with |dst|. The striped core only unrolls
+// the word intersection; the accumulation is still one addition per set
+// bit in ascending bit order, so the float result is bit-identical
+// under both kernel builds (that identity is part of the contract — the
+// exact search's rub bounds must not depend on the kernel build). w
+// must cover the set width. Fusing the intersection with the weighted
+// sum and the count saves the hot search loops further passes over the
+// words (the exact search's rub bound is a tub-weighted sum over every
+// freshly intersected tidset, and its qub bound needs the support).
+func IntersectIntoSum(dst, a, b *Set, w []float64) (sum float64, n int) {
 	a.mustMatch(b)
 	a.mustMatch(dst)
 	return intersectSumWords(dst.words, a.words, b.words, w)
@@ -257,17 +260,20 @@ func AndNotCount(a, b *Set) int {
 	return andNotCountWords(a.words, b.words)
 }
 
-// AndNotAndNotCount returns |a \ (b ∪ c)| in one fused pass: no
-// temporary set, single loop, one popcount per word. It is the kernel
-// behind the columnar cover state's "items that become errors" count
-// (transactions in the support that neither contain the item nor
-// already carry it as an error). Note ^b and ^c set the dead bits past
-// the width, but a's trailing word keeps them zero (the package-wide
-// invariant), so the conjunction masks them back out.
-func AndNotAndNotCount(a, b, c *Set) int {
-	a.mustMatch(b)
-	a.mustMatch(c)
-	return andNotAndNotCountWords(a.words, b.words, c.words)
+// CoverCounts returns, in one fused pass over the four streams, the two
+// counts one consequent item contributes to a rule direction's gain:
+// covered = |tids ∩ ucol| (transactions where the item is still
+// uncovered and becomes covered) and errors = |tids \ (col ∪ ecol)|
+// (transactions that neither contain the item nor already carry it as
+// an error, where it becomes one). It is the kernel behind every gain
+// evaluation of the columnar cover state. Note ^(col|ecol) sets the dead
+// bits past the width, but tids' trailing word keeps them zero (the
+// package-wide invariant), so the conjunction masks them back out.
+func CoverCounts(tids, ucol, col, ecol *Set) (covered, errors int) {
+	tids.mustMatch(ucol)
+	tids.mustMatch(col)
+	tids.mustMatch(ecol)
+	return coverCountsWords(tids.words, ucol.words, col.words, ecol.words)
 }
 
 // Equal reports whether s and o contain exactly the same bits. It

@@ -449,7 +449,7 @@ func equalInts(a, b []int) bool {
 	return true
 }
 
-// --- fused popcount kernels (AndCount, AndNotCount, AndNotAndNotCount) ---
+// --- fused popcount kernels (AndCount, AndNotCount, CoverCounts) ---
 
 // The kernels must agree with the naive bit-probe definitions for random
 // sets of random widths (crossing word boundaries both ways).
@@ -460,7 +460,8 @@ func TestQuickFusedCountKernels(t *testing.T) {
 		a, _ := randomPair(r, n)
 		b, _ := randomPair(r, n)
 		c, _ := randomPair(r, n)
-		and, andNot, andNotAndNot := 0, 0, 0
+		e, _ := randomPair(r, n)
+		and, andNot, newErrs := 0, 0, 0
 		for i := 0; i < n; i++ {
 			switch {
 			case a.Contains(i) && b.Contains(i):
@@ -468,13 +469,14 @@ func TestQuickFusedCountKernels(t *testing.T) {
 			case a.Contains(i) && !b.Contains(i):
 				andNot++
 			}
-			if a.Contains(i) && !b.Contains(i) && !c.Contains(i) {
-				andNotAndNot++
+			if a.Contains(i) && !c.Contains(i) && !e.Contains(i) {
+				newErrs++
 			}
 		}
+		cov, errs := CoverCounts(a, b, c, e)
 		return AndCount(a, b) == and &&
 			AndNotCount(a, b) == andNot &&
-			AndNotAndNotCount(a, b, c) == andNotAndNot
+			cov == and && errs == newErrs
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -492,14 +494,17 @@ func TestFusedCountsTrailingWordMasking(t *testing.T) {
 		if got := AndNotCount(full, empty); got != n {
 			t.Fatalf("width %d: AndNotCount(full, empty) = %d, want %d", n, got, n)
 		}
-		if got := AndNotAndNotCount(full, empty, empty); got != n {
-			t.Fatalf("width %d: AndNotAndNotCount(full, empty, empty) = %d, want %d", n, got, n)
+		if cov, errs := CoverCounts(full, empty, empty, empty); cov != 0 || errs != n {
+			t.Fatalf("width %d: CoverCounts(full, empty, empty, empty) = (%d, %d), want (0, %d)", n, cov, errs, n)
 		}
 		if got := AndCount(full, full); got != n {
 			t.Fatalf("width %d: AndCount(full, full) = %d, want %d", n, got, n)
 		}
-		if got := AndNotAndNotCount(full, full, empty); got != 0 {
-			t.Fatalf("width %d: AndNotAndNotCount(full, full, empty) = %d, want 0", n, got)
+		if _, errs := CoverCounts(full, empty, full, empty); errs != 0 {
+			t.Fatalf("width %d: CoverCounts errors with a full column = %d, want 0", n, errs)
+		}
+		if _, errs := CoverCounts(full, empty, empty, full); errs != 0 {
+			t.Fatalf("width %d: CoverCounts errors with a full E column = %d, want 0", n, errs)
 		}
 	}
 }
@@ -507,10 +512,11 @@ func TestFusedCountsTrailingWordMasking(t *testing.T) {
 func TestFusedCountWidthMismatchPanics(t *testing.T) {
 	a, b, c := New(10), New(10), New(11)
 	for name, fn := range map[string]func(){
-		"AndCount":               func() { AndCount(a, c) },
-		"AndNotCount":            func() { AndNotCount(a, c) },
-		"AndNotAndNotCount-mid":  func() { AndNotAndNotCount(a, c, b) },
-		"AndNotAndNotCount-last": func() { AndNotAndNotCount(a, b, c) },
+		"AndCount":         func() { AndCount(a, c) },
+		"AndNotCount":      func() { AndNotCount(a, c) },
+		"CoverCounts-ucol": func() { CoverCounts(a, c, b, b) },
+		"CoverCounts-col":  func() { CoverCounts(a, b, c, b) },
+		"CoverCounts-ecol": func() { CoverCounts(a, b, b, c) },
 	} {
 		func() {
 			defer func() {

@@ -48,18 +48,21 @@ func andNotCountWords(a, b []uint64) int {
 	return c
 }
 
-func andNotAndNotCountWords(a, b, c []uint64) int {
-	n := 0
-	for i := range a {
-		n += bits.OnesCount64(a[i] &^ b[i] &^ c[i])
+func coverCountsWords(t, u, c, e []uint64) (covered, errs int) {
+	for i := range t {
+		covered += bits.OnesCount64(t[i] & u[i])
+		errs += bits.OnesCount64(t[i] &^ (c[i] | e[i]))
 	}
-	return n
+	return covered, errs
 }
 
-func intersectWords(dst, a, b []uint64) {
+func intersectWords(dst, a, b []uint64) int {
+	c := 0
 	for i := range dst {
 		dst[i] = a[i] & b[i]
+		c += bits.OnesCount64(dst[i])
 	}
+	return c
 }
 
 func andWords(a, b []uint64) {
@@ -113,14 +116,15 @@ func intersectsWords(a, b []uint64) bool {
 	return false
 }
 
-func intersectSumWords(dst, a, b []uint64, w []float64) float64 {
-	total := 0.0
+func intersectSumWords(dst, a, b []uint64, w []float64) (float64, int) {
+	total, c := 0.0, 0
 	for i := range dst {
 		word := a[i] & b[i]
 		dst[i] = word
+		c += bits.OnesCount64(word)
 		total = addWeighted(total, word, w, i*wordBits)
 	}
-	return total
+	return total, c
 }
 
 func weightedSumWords(a []uint64, w []float64) float64 {

@@ -114,45 +114,63 @@ func andNotCountWords(a, b []uint64) int {
 	return c
 }
 
-// andNotAndNotCountWords returns Σ popcount(a[i] &^ b[i] &^ c[i]).
-func andNotAndNotCountWords(a, b, c []uint64) int {
-	b = b[:len(a)]
-	c = c[:len(a)]
-	i, out := 0, 0
-	if len(a) >= stripeMinWords {
-		var c0, c1, c2, c3 int
-		n := len(a) &^ (stripeWords - 1)
+// coverCountsWords returns Σ popcount(t[i] & u[i]) and
+// Σ popcount(t[i] &^ (c[i] | e[i])) in one pass over the four streams.
+func coverCountsWords(t, u, c, e []uint64) (covered, errs int) {
+	u = u[:len(t)]
+	c = c[:len(t)]
+	e = e[:len(t)]
+	i := 0
+	if len(t) >= stripeMinWords {
+		var c0, c1, c2, c3, e0, e1, e2, e3 int
+		n := len(t) &^ (stripeWords - 1)
 		for ; i < n; i += stripeWords {
-			c0 += bits.OnesCount64(a[i] &^ b[i] &^ c[i])
-			c1 += bits.OnesCount64(a[i+1] &^ b[i+1] &^ c[i+1])
-			c2 += bits.OnesCount64(a[i+2] &^ b[i+2] &^ c[i+2])
-			c3 += bits.OnesCount64(a[i+3] &^ b[i+3] &^ c[i+3])
+			c0 += bits.OnesCount64(t[i] & u[i])
+			c1 += bits.OnesCount64(t[i+1] & u[i+1])
+			c2 += bits.OnesCount64(t[i+2] & u[i+2])
+			c3 += bits.OnesCount64(t[i+3] & u[i+3])
+			e0 += bits.OnesCount64(t[i] &^ (c[i] | e[i]))
+			e1 += bits.OnesCount64(t[i+1] &^ (c[i+1] | e[i+1]))
+			e2 += bits.OnesCount64(t[i+2] &^ (c[i+2] | e[i+2]))
+			e3 += bits.OnesCount64(t[i+3] &^ (c[i+3] | e[i+3]))
 		}
-		out = c0 + c1 + c2 + c3
+		covered, errs = c0+c1+c2+c3, e0+e1+e2+e3
 	}
-	for ; i < len(a); i++ {
-		out += bits.OnesCount64(a[i] &^ b[i] &^ c[i])
+	for ; i < len(t); i++ {
+		covered += bits.OnesCount64(t[i] & u[i])
+		errs += bits.OnesCount64(t[i] &^ (c[i] | e[i]))
 	}
-	return out
+	return covered, errs
 }
 
-// intersectWords sets dst[i] = a[i] & b[i]. dst may alias a or b.
-func intersectWords(dst, a, b []uint64) {
+// intersectWords sets dst[i] = a[i] & b[i] and returns the popcount of
+// the result. dst may alias a or b.
+func intersectWords(dst, a, b []uint64) int {
 	a = a[:len(dst)]
 	b = b[:len(dst)]
-	i := 0
+	i, c := 0, 0
 	if len(dst) >= stripeMinWords {
+		var c0, c1, c2, c3 int
 		n := len(dst) &^ (stripeWords - 1)
 		for ; i < n; i += stripeWords {
-			dst[i] = a[i] & b[i]
-			dst[i+1] = a[i+1] & b[i+1]
-			dst[i+2] = a[i+2] & b[i+2]
-			dst[i+3] = a[i+3] & b[i+3]
+			w0 := a[i] & b[i]
+			w1 := a[i+1] & b[i+1]
+			w2 := a[i+2] & b[i+2]
+			w3 := a[i+3] & b[i+3]
+			dst[i], dst[i+1], dst[i+2], dst[i+3] = w0, w1, w2, w3
+			c0 += bits.OnesCount64(w0)
+			c1 += bits.OnesCount64(w1)
+			c2 += bits.OnesCount64(w2)
+			c3 += bits.OnesCount64(w3)
 		}
+		c = c0 + c1 + c2 + c3
 	}
 	for ; i < len(dst); i++ {
-		dst[i] = a[i] & b[i]
+		w := a[i] & b[i]
+		dst[i] = w
+		c += bits.OnesCount64(w)
 	}
+	return c
 }
 
 // andWords sets a[i] &= b[i].
@@ -293,15 +311,15 @@ func intersectsWords(a, b []uint64) bool {
 // intersectSumWords sets dst[i] = a[i] & b[i] and returns the weighted
 // sum of the result's set bits, accumulated strictly in ascending bit
 // order (each addition is total += w[bit], same association as the
-// scalar core — the float result is bit-identical by contract). The
-// stripe only unrolls the word intersection; an all-zero stripe skips
-// its four bit walks entirely, which is the common case on the sparse
-// tidsets of deep search branches.
-func intersectSumWords(dst, a, b []uint64, w []float64) float64 {
+// scalar core — the float result is bit-identical by contract), and the
+// result's popcount. The stripe only unrolls the word intersection; an
+// all-zero stripe skips its four bit walks entirely, which is the
+// common case on the sparse tidsets of deep search branches.
+func intersectSumWords(dst, a, b []uint64, w []float64) (float64, int) {
 	a = a[:len(dst)]
 	b = b[:len(dst)]
 	total := 0.0
-	i := 0
+	i, c := 0, 0
 	if len(dst) >= stripeMinSumWords {
 		n := len(dst) &^ (stripeWords - 1)
 		for ; i < n; i += stripeWords {
@@ -311,6 +329,8 @@ func intersectSumWords(dst, a, b []uint64, w []float64) float64 {
 			w3 := a[i+3] & b[i+3]
 			dst[i], dst[i+1], dst[i+2], dst[i+3] = w0, w1, w2, w3
 			if w0|w1|w2|w3 != 0 {
+				c += bits.OnesCount64(w0) + bits.OnesCount64(w1) +
+					bits.OnesCount64(w2) + bits.OnesCount64(w3)
 				base := i * wordBits
 				total = addWeighted(total, w0, w, base)
 				total = addWeighted(total, w1, w, base+wordBits)
@@ -322,9 +342,10 @@ func intersectSumWords(dst, a, b []uint64, w []float64) float64 {
 	for ; i < len(dst); i++ {
 		word := a[i] & b[i]
 		dst[i] = word
+		c += bits.OnesCount64(word)
 		total = addWeighted(total, word, w, i*wordBits)
 	}
-	return total
+	return total, c
 }
 
 // weightedSumWords returns the weighted sum of a's set bits, ascending

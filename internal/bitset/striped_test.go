@@ -85,14 +85,21 @@ func refAndNotCount(a, b *Set) int {
 	return c
 }
 
-func refAndNotAndNotCount(a, b, c *Set) int {
-	n := 0
-	for i := 0; i < a.Len(); i++ {
-		if a.Contains(i) && !b.Contains(i) && !c.Contains(i) {
-			n++
+// refCoverCounts probes the two gain counts bit by bit: covered where
+// t and u meet, an error where t holds neither c nor e.
+func refCoverCounts(t, u, c, e *Set) (covered, errs int) {
+	for i := 0; i < t.Len(); i++ {
+		if !t.Contains(i) {
+			continue
+		}
+		if u.Contains(i) {
+			covered++
+		}
+		if !c.Contains(i) && !e.Contains(i) {
+			errs++
 		}
 	}
-	return n
+	return covered, errs
 }
 
 // refWeightedSum accumulates exactly like the contract demands: one
@@ -113,10 +120,11 @@ func TestKernelsMatchBitReference(t *testing.T) {
 	for _, n := range boundaryWidths() {
 		for _, da := range densities {
 			for _, db := range densities {
-				a, b, c := New(n), New(n), New(n)
+				a, b, c, e := New(n), New(n), New(n), New(n)
 				fillRandom(r, a, da)
 				fillRandom(r, b, db)
 				fillRandom(r, c, (da+db)/2)
+				fillRandom(r, e, 1-db)
 				w := make([]float64, n)
 				for i := range w {
 					// Deliberately non-associative-friendly magnitudes so an
@@ -130,8 +138,10 @@ func TestKernelsMatchBitReference(t *testing.T) {
 				if got, want := AndNotCount(a, b), refAndNotCount(a, b); got != want {
 					t.Fatalf("n=%d da=%v db=%v: AndNotCount = %d, want %d", n, da, db, got, want)
 				}
-				if got, want := AndNotAndNotCount(a, b, c), refAndNotAndNotCount(a, b, c); got != want {
-					t.Fatalf("n=%d da=%v db=%v: AndNotAndNotCount = %d, want %d", n, da, db, got, want)
+				gotCov, gotErr := CoverCounts(a, b, c, e)
+				if wantCov, wantErr := refCoverCounts(a, b, c, e); gotCov != wantCov || gotErr != wantErr {
+					t.Fatalf("n=%d da=%v db=%v: CoverCounts = (%d, %d), want (%d, %d)",
+						n, da, db, gotCov, gotErr, wantCov, wantErr)
 				}
 				if got, want := a.Count(), refAndCount(a, a); got != want {
 					t.Fatalf("n=%d da=%v: Count = %d, want %d", n, da, got, want)
@@ -140,16 +150,22 @@ func TestKernelsMatchBitReference(t *testing.T) {
 				// IntersectInto and the fused sum agree with the reference
 				// and with each other, bit for bit on the float.
 				dst := New(n)
-				IntersectInto(dst, a, b)
+				cnt := IntersectInto(dst, a, b)
 				for i := 0; i < n; i++ {
 					if dst.Contains(i) != (a.Contains(i) && b.Contains(i)) {
 						t.Fatalf("n=%d: IntersectInto wrong at bit %d", n, i)
 					}
 				}
+				if want := refAndCount(a, b); cnt != want {
+					t.Fatalf("n=%d: IntersectInto returned %d, want |a ∩ b| = %d", n, cnt, want)
+				}
 				dst2 := New(n)
-				sum := IntersectIntoSum(dst2, a, b, w)
+				sum, cnt2 := IntersectIntoSum(dst2, a, b, w)
 				if !dst2.Equal(dst) {
 					t.Fatalf("n=%d: IntersectIntoSum set differs from IntersectInto", n)
+				}
+				if cnt2 != cnt {
+					t.Fatalf("n=%d: IntersectIntoSum returned %d, want %d", n, cnt2, cnt)
 				}
 				if want := refWeightedSum(dst, w); sum != want {
 					t.Fatalf("n=%d: IntersectIntoSum = %v, want %v (bit-exact)", n, sum, want)
@@ -216,8 +232,17 @@ func TestKernelsTrailingWordMasking(t *testing.T) {
 		if got := AndNotCount(a, b); got != n {
 			t.Fatalf("n=%d: AndNotCount(full, empty) = %d, want %d", n, got, n)
 		}
-		if got := AndNotAndNotCount(a, b, c); got != n {
-			t.Fatalf("n=%d: AndNotAndNotCount(full, empty, empty) = %d, want %d", n, got, n)
+		if cov, errs := CoverCounts(a, b, b, c); cov != 0 || errs != n {
+			t.Fatalf("n=%d: CoverCounts(full, empty, empty, empty) = (%d, %d), want (0, %d)", n, cov, errs, n)
+		}
+		// A full tidset whose dead bits would meet ^(col | ecol): the
+		// errors must stop at the width, and so must the covered count
+		// against a full U column.
+		if cov, errs := CoverCounts(a, a, b, c); cov != n || errs != n {
+			t.Fatalf("n=%d: CoverCounts(full, full, empty, empty) = (%d, %d), want (%d, %d)", n, cov, errs, n, n)
+		}
+		if got := IntersectInto(New(n), a, a); got != n {
+			t.Fatalf("n=%d: IntersectInto(full, full) = %d, want %d", n, got, n)
 		}
 		b.Fill()
 		if got := AndNotCount(a, b); got != 0 {

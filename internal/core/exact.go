@@ -41,7 +41,27 @@ import (
 // side's sum is inherited from the parent node unchanged. The inherited
 // value was accumulated over the same tidset in the same ascending order,
 // so the bound — and therefore every pruning decision — is bit-identical
-// to recomputing both sums from scratch at each node.
+// to recomputing both sums from scratch at each node. The supports |tidX|
+// and |tidY| that qub needs are counted by the same intersections and
+// carried down the same way.
+//
+// The exact gains are maintained the same way, as integer cover terms.
+// Invariant: at every node where X and Y are both non-empty,
+//
+//	tx[j] = covered − errors of X[j] against tidY (gain of X ← Y),
+//	ty[j] = covered − errors of Y[j] against tidX (gain of X → Y),
+//
+// aligned with the sorted itemsets (covered and errors as counted by
+// bitset.CoverCounts; see State.gainDir); while either side is empty
+// both slices are empty. Extending side S by an item changes only S's
+// tidset, so the child inserts one term for the new item — against the
+// other side's unchanged tidset, at the index the item takes in S —
+// and recomputes the other side's terms against S's new tidset: |other
+// side|+1 kernel calls per node instead of |X|+|Y| per evaluated pair.
+// evaluate sums ItemLen·term in consequent order, skipping zero terms,
+// through the same State.addTerm as gainDir, so every gain is
+// bit-identical to scoring the pair from scratch (exact_reference_test.go
+// pins this against the direct search).
 
 // ExactOptions configures MineExact.
 type ExactOptions struct {
@@ -103,8 +123,21 @@ type joinedItem struct {
 	view dataset.View
 	id   int         // id within its view
 	col  *bitset.Set // tidset
+	supp int         // |col|
 	len  float64     // L(item | its view)
 	pot  float64     // ordering potential Σ_{t∈supp} tub(t_opposite)
+}
+
+// pairNode is one node of the branch-and-bound search: the pair (x, y)
+// with everything its extensions inherit, so a child pays only for the
+// side that changed.
+type pairNode struct {
+	x, y              itemset.Itemset
+	tidX, tidY, tidXY *bitset.Set // supports of x (left), y (right), x ∪ y
+	nX, nY            int         // |tidX|, |tidY|
+	lenX, lenY        float64     // L(x|D_L), L(y|D_R)
+	sumRX, sumLY      float64     // rub sums Σ_{t∈tidX} tub_R(t), Σ_{t∈tidY} tub_L(t)
+	tx, ty            []int       // cover terms (see the file comment)
 }
 
 // exactRun is the cross-iteration context of one MineExact call: the
@@ -132,7 +165,9 @@ type exactRun struct {
 	// iterations; nil when serial.
 	shared *pool.Max
 
-	full, fullY, fullXY *bitset.Set // root tidsets, shared read-only
+	// root is the empty pair at full support, rebuilt (its rub sums)
+	// every iteration and shared read-only by the workers.
+	root pairNode
 }
 
 // exactSearch carries one worker's share of a best-rule search.
@@ -141,9 +176,10 @@ type exactSearch struct {
 
 	// Per-depth scratch, so the DFS allocates only when it goes deeper
 	// than ever before — across all iterations of the run.
-	levels []levelBufs
-	// Scratch singletons for the seed pass.
-	sx, sy [1]int
+	levels []*levelBufs
+	// Scratch node, singletons and terms for the seed pass.
+	seed                   pairNode
+	sx, sy, seedTX, seedTY [1]int
 
 	// The champion rule. best.X and best.Y alias bestX and bestY, a pair
 	// of per-worker buffers improvements copy into in place, so taking
@@ -165,18 +201,22 @@ type exactSearch struct {
 // branch-and-bound DFS: one ctx.Err() call per 1024 extensions.
 const exactCtxProbeMask = 1<<10 - 1
 
+// levelBufs is the storage of the node at one depth: siblings at the
+// same depth overwrite it after the subtree below has returned.
 type levelBufs struct {
-	xy   *bitset.Set     // joint support of the extended pair
-	side *bitset.Set     // per-view support of the extended side
-	set  itemset.Itemset // the extended itemset at this depth
+	node   pairNode
+	xy     *bitset.Set     // joint support of the extended pair
+	side   *bitset.Set     // per-view support of the extended side
+	set    itemset.Itemset // the extended itemset at this depth
+	tx, ty []int           // the node's cover terms
 }
 
 func (se *exactSearch) bufs(depth int) *levelBufs {
 	for len(se.levels) <= depth {
 		n := se.s.d.Size()
-		se.levels = append(se.levels, levelBufs{xy: bitset.New(n), side: bitset.New(n)})
+		se.levels = append(se.levels, &levelBufs{xy: bitset.New(n), side: bitset.New(n)})
 	}
-	return &se.levels[depth]
+	return se.levels[depth]
 }
 
 // threshold returns the tightest known incumbent gain, against which the
@@ -215,9 +255,9 @@ func newExactRun(s *State, opt ExactOptions) *exactRun {
 		return &exactSearch{exactRun: run}
 	})
 	n := d.Size()
-	run.full = bitset.New(n)
-	run.full.Fill()
-	run.fullY, run.fullXY = run.full.Clone(), run.full.Clone()
+	full := bitset.New(n)
+	full.Fill()
+	run.root = pairNode{tidX: full, tidY: full, tidXY: full, nX: n, nY: n}
 	return run
 }
 
@@ -245,6 +285,7 @@ func (run *exactRun) bestRule(ctx context.Context) (Rule, float64, bool, error) 
 				view: v,
 				id:   i,
 				col:  cols[i],
+				supp: cols[i].Count(),
 				len:  s.coder.ItemLen(v, i),
 				pot:  s.SumTub(v.Opposite(), cols[i]),
 			})
@@ -279,10 +320,9 @@ func (run *exactRun) bestRule(ctx context.Context) (Rule, float64, bool, error) 
 
 	// Root values of the incremental rub sums: both sides start at full
 	// support, so the sums cover every transaction of the target view.
-	var rootRX, rootLY float64
 	if !opt.DisableRub {
-		rootRX = s.SumTub(dataset.Right, run.full)
-		rootLY = s.SumTub(dataset.Left, run.full)
+		run.root.sumRX = s.SumTub(dataset.Right, run.root.tidX)
+		run.root.sumLY = s.SumTub(dataset.Left, run.root.tidY)
 	}
 
 	lefts, rights := run.splitViews(items)
@@ -303,10 +343,10 @@ func (run *exactRun) bestRule(ctx context.Context) (Rule, float64, bool, error) 
 		return Rule{}, 0, false, err
 	}
 	// DFS phase: each task is one top-level branch (extend the empty
-	// pair with item k, then search positions > k). The root tidsets are
-	// only read, so all workers share them.
+	// pair with item k, then search positions > k). The root node is
+	// only read, so all workers share it.
 	if err := run.pool.RunCtx(ctx, len(items), func(se *exactSearch, k int) {
-		se.extend(nil, nil, run.full, run.fullY, run.fullXY, k, 0, 0, 0, rootRX, rootLY)
+		se.extend(&run.root, k, 0)
 	}); err != nil {
 		return Rule{}, 0, false, err
 	}
@@ -358,33 +398,38 @@ func (run *exactRun) splitViews(items []joinedItem) (lefts, rights []*joinedItem
 	return run.lefts, run.rights
 }
 
-// seedPair evaluates the singleton pair ({li}, {ri}) through per-search
-// scratch itemsets (evaluate clones before keeping anything).
+// seedPair evaluates the singleton pair ({li}, {ri}) through the
+// search's scratch seed node (evaluate clones before keeping anything).
 func (se *exactSearch) seedPair(li, ri *joinedItem) {
 	se.sx[0], se.sy[0] = li.id, ri.id
-	se.evaluate(itemset.Itemset(se.sx[:]), itemset.Itemset(se.sy[:]),
-		li.col, ri.col, li.len, ri.len)
+	se.seedTX[0] = se.s.coverTerm(dataset.Left, ri.col, li.id)
+	se.seedTY[0] = se.s.coverTerm(dataset.Right, li.col, ri.id)
+	se.seed = pairNode{
+		x: se.sx[:], y: se.sy[:],
+		tidX: li.col, tidY: ri.col,
+		nX: li.supp, nY: ri.supp,
+		lenX: li.len, lenY: ri.len,
+		tx: se.seedTX[:], ty: se.seedTY[:],
+	}
+	se.evaluate(&se.seed)
 }
 
-// dfs extends the pair (x, y) with items at positions ≥ start in the
-// global order. tidX and tidY are the supports of x and y within their
-// own views; tidXY is their intersection (the joint support of x ∪ y).
-// lenX and lenY carry L(x|D_L) and L(y|D_R) incrementally; sumRX and
-// sumLY carry the rub partial sums Σ_{t∈tidX} tub_R(t) and
-// Σ_{t∈tidY} tub_L(t); depth is the recursion level used for scratch
-// buffers.
-func (se *exactSearch) dfs(x, y itemset.Itemset, tidX, tidY, tidXY *bitset.Set, start, depth int, lenX, lenY, sumRX, sumLY float64) {
+// dfs extends the node p with the items at positions ≥ start in the
+// global order; depth is the recursion level of the children, used for
+// their scratch buffers.
+func (se *exactSearch) dfs(p *pairNode, start, depth int) {
 	for k := start; k < len(se.items); k++ {
-		se.extend(x, y, tidX, tidY, tidXY, k, depth, lenX, lenY, sumRX, sumLY)
+		se.extend(p, k, depth)
 	}
 }
 
-// extend grows the pair (x, y) by the single item at position k, evaluates
-// the result when both sides are non-empty, and recurses into extensions
-// at positions > k. Only one side's support shrinks, so its tub partial
-// sum is re-accumulated while intersecting (one fused pass) and the other
-// side's sum is inherited unchanged.
-func (se *exactSearch) extend(x, y itemset.Itemset, tidX, tidY, tidXY *bitset.Set, k, depth int, lenX, lenY, sumRX, sumLY float64) {
+// extend grows the node p by the single item at position k into this
+// depth's node, evaluates it when both sides are non-empty, and recurses
+// into extensions at positions > k. Only one side's support shrinks, so
+// its tub partial sum and its size are re-accumulated while intersecting
+// (one fused pass), the other side's are inherited unchanged, and the
+// cover terms are updated as the file comment describes.
+func (se *exactSearch) extend(p *pairNode, k, depth int) {
 	// Cancellation probe: once the run's context is cancelled the whole
 	// recursion unwinds via the latched flag. The champions this search
 	// has accumulated are discarded by bestRule, so cutting mid-branch
@@ -396,62 +441,85 @@ func (se *exactSearch) extend(x, y itemset.Itemset, tidX, tidY, tidXY *bitset.Se
 		se.stopped = true
 		return
 	}
-	it := se.items[k]
+	it := &se.items[k]
 	bufs := se.bufs(depth)
 	// The joint support of the extended pair.
-	childXY := bufs.xy
-	bitset.IntersectInto(childXY, tidXY, it.col)
-	if childXY.Empty() {
+	if bitset.IntersectInto(bufs.xy, p.tidXY, it.col) == 0 {
 		return // X∪Y must occur in the data (§5.2)
 	}
-	// The extended side lives in this depth's scratch itemset: siblings at
-	// the same depth overwrite it after the subtree below has returned,
-	// and evaluate clones before keeping a rule.
-	bufs.set = insertItemInto(bufs.set, x, y, it)
+	// The extended side lives in this depth's scratch itemset, and
+	// evaluate clones before keeping a rule.
+	var at int
+	bufs.set, at = insertItemInto(bufs.set, p.x, p.y, it)
 	useRub := !se.opt.DisableRub
-	var cx, cy itemset.Itemset
-	var ctX, ctY *bitset.Set
-	clenX, clenY := lenX, lenY
-	csumRX, csumLY := sumRX, sumLY
+	c := &bufs.node
+	*c = *p
+	c.tidXY = bufs.xy
 	if it.view == dataset.Left {
-		cx, cy = bufs.set, y
-		ctX = bufs.side
+		c.x, c.tidX = bufs.set, bufs.side
 		if useRub {
-			csumRX = bitset.IntersectIntoSum(ctX, tidX, it.col, se.s.tub[dataset.Right])
+			c.sumRX, c.nX = bitset.IntersectIntoSum(c.tidX, p.tidX, it.col, se.s.tub[dataset.Right])
 		} else {
-			bitset.IntersectInto(ctX, tidX, it.col)
+			c.nX = bitset.IntersectInto(c.tidX, p.tidX, it.col)
 		}
-		ctY = tidY
-		clenX += it.len
+		c.lenX += it.len
 	} else {
-		cx, cy = x, bufs.set
-		ctX = tidX
-		ctY = bufs.side
+		c.y, c.tidY = bufs.set, bufs.side
 		if useRub {
-			csumLY = bitset.IntersectIntoSum(ctY, tidY, it.col, se.s.tub[dataset.Left])
+			c.sumLY, c.nY = bitset.IntersectIntoSum(c.tidY, p.tidY, it.col, se.s.tub[dataset.Left])
 		} else {
-			bitset.IntersectInto(ctY, tidY, it.col)
+			c.nY = bitset.IntersectInto(c.tidY, p.tidY, it.col)
 		}
-		clenY += it.len
+		c.lenY += it.len
 	}
 	if useRub {
 		// rub(X◇Y) = Σ_{X⊆tL} tub(tR) + Σ_{Y⊆tR} tub(tL) − L(X↔Y),
 		// antitone under extension, so it prunes the whole subtree.
-		rub := csumRX + csumLY - (clenX + clenY + 1)
+		rub := c.sumRX + c.sumLY - (c.lenX + c.lenY + 1)
 		if rub < se.threshold() {
 			return
 		}
 	}
-	if len(cx) > 0 && len(cy) > 0 {
-		se.evaluate(cx, cy, ctX, ctY, clenX, clenY)
+	// With a side still empty, c inherits p's (empty) terms unchanged.
+	if len(c.x) > 0 && len(c.y) > 0 {
+		se.updateTerms(p, c, it, at, bufs)
+		se.evaluate(c)
 	}
-	se.dfs(cx, cy, ctX, ctY, childXY, k+1, depth+1, clenX, clenY, csumRX, csumLY)
+	se.dfs(c, k+1, depth+1)
 }
 
-// insertItemInto writes (x or y) ∪ {it.id} into dst, reusing its capacity:
-// the side matching it.view is extended (it.id may fall anywhere, since
-// the global search order mixes the two views arbitrarily).
-func insertItemInto(dst itemset.Itemset, x, y itemset.Itemset, it joinedItem) itemset.Itemset {
+// updateTerms derives the child c's cover terms from its parent p after
+// c extended one side by it, which landed at index at of that side; both
+// sides of c are non-empty. The extended side gains one term, against
+// the other side's unchanged tidset; the other side's terms are all
+// recomputed against the extended side's new tidset. If the extended
+// side was empty in p, p carries no terms and the new item's term is
+// the whole slice.
+func (se *exactSearch) updateTerms(p, c *pairNode, it *joinedItem, at int, bufs *levelBufs) {
+	s := se.s
+	if it.view == dataset.Left {
+		bufs.tx = insertTerm(bufs.tx, p.tx, at, s.coverTerm(dataset.Left, c.tidY, it.id))
+		bufs.ty = s.appendCoverTerms(bufs.ty[:0], dataset.Right, c.tidX, c.y)
+	} else {
+		bufs.ty = insertTerm(bufs.ty, p.ty, at, s.coverTerm(dataset.Right, c.tidX, it.id))
+		bufs.tx = s.appendCoverTerms(bufs.tx[:0], dataset.Left, c.tidY, c.x)
+	}
+	c.tx, c.ty = bufs.tx, bufs.ty
+}
+
+// insertTerm writes terms with t inserted at index at into dst, reusing
+// its capacity.
+func insertTerm(dst, terms []int, at, t int) []int {
+	dst = append(dst[:0], terms[:at]...)
+	dst = append(dst, t)
+	return append(dst, terms[at:]...)
+}
+
+// insertItemInto writes (x or y) ∪ {it.id} into dst, reusing its
+// capacity, and returns the index it.id took: the side matching it.view
+// is extended (it.id may fall anywhere, since the global search order
+// mixes the two views arbitrarily).
+func insertItemInto(dst itemset.Itemset, x, y itemset.Itemset, it *joinedItem) (itemset.Itemset, int) {
 	s := x
 	if it.view == dataset.Right {
 		s = y
@@ -459,26 +527,27 @@ func insertItemInto(dst itemset.Itemset, x, y itemset.Itemset, it joinedItem) it
 	i := sort.SearchInts(s, it.id)
 	dst = append(dst[:0], s[:i]...)
 	dst = append(dst, it.id)
-	return append(dst, s[i:]...)
+	return append(dst, s[i:]...), i
 }
 
-// evaluate computes the exact gains of the three rules formed by (x, y)
-// and updates the incumbent. x and y may live in scratch buffers; the
-// champion is copied into the worker's preallocated buffers, not cloned.
-func (se *exactSearch) evaluate(x, y itemset.Itemset, tidX, tidY *bitset.Set, lenX, lenY float64) {
+// evaluate computes the exact gains of the three rules formed by the
+// node's pair from its cover terms and updates the incumbent. The pair
+// may live in scratch buffers; the champion is copied into the worker's
+// preallocated buffers, not cloned.
+func (se *exactSearch) evaluate(n *pairNode) {
 	s := se.s
-	lenBi := lenX + lenY + 1
-	lenUni := lenX + lenY + 2
+	lenBi := n.lenX + n.lenY + 1
+	lenUni := n.lenX + n.lenY + 2
 	if !se.opt.DisableQub {
 		// qub(X◇Y) = |supp(X)|·L(Y) + |supp(Y)|·L(X) − L(X↔Y) bounds all
 		// three directions; skip the exact gain computation if hopeless.
-		qub := float64(tidX.Count())*lenY + float64(tidY.Count())*lenX - lenBi
+		qub := float64(n.nX)*n.lenY + float64(n.nY)*n.lenX - lenBi
 		if qub < se.threshold() {
 			return
 		}
 	}
-	gainF := s.gainDir(dataset.Left, tidX, y)
-	gainB := s.gainDir(dataset.Right, tidY, x)
+	gainF := s.termsGain(dataset.Right, n.y, n.ty)
+	gainB := s.termsGain(dataset.Left, n.x, n.tx)
 	for _, cand := range [3]struct {
 		dir  Direction
 		gain float64
@@ -487,11 +556,11 @@ func (se *exactSearch) evaluate(x, y itemset.Itemset, tidX, tidY *bitset.Set, le
 		{Backward, gainB - lenUni},
 		{Both, gainF + gainB - lenBi},
 	} {
-		r := Rule{X: x, Dir: cand.dir, Y: y}
+		r := Rule{X: n.x, Dir: cand.dir, Y: n.y}
 		if cand.gain > se.bestGain ||
 			(se.found && cand.gain == se.bestGain && r.Compare(se.best) < 0) {
-			se.bestX = append(se.bestX[:0], x...)
-			se.bestY = append(se.bestY[:0], y...)
+			se.bestX = append(se.bestX[:0], n.x...)
+			se.bestY = append(se.bestY[:0], n.y...)
 			se.best = Rule{X: se.bestX, Dir: cand.dir, Y: se.bestY}
 			se.bestGain = cand.gain
 			se.found = true

@@ -110,12 +110,13 @@ func (ps *PartialState) ErrorsCol(target dataset.View, i int) *bitset.Set {
 // ScoreDir computes the per-item counts of one rule direction for the
 // consequent items this partition owns, appending to dst: per owned
 // item y of cons, the covered count |tids ∩ ucol[y]| and the new-error
-// count |tids \ (supp(y) ∪ ecol[y])| — the same two fused kernels as
-// State.gainDir, yielding the same integers. Items outside the
-// partition are someone else's; items inside are emitted even at
-// (0, 0), so a coordinator can concatenate the partitions' slices in
-// partition order and walk cons exactly once (a wire transport may
-// compress the zero entries; see internal/shard's protocol doc).
+// count |tids \ (supp(y) ∪ ecol[y])| — the same fused kernel as
+// State.gainDir (bitset.CoverCounts), yielding the same integers.
+// Items outside the partition are someone else's; items inside are
+// emitted even at (0, 0), so a coordinator can concatenate the
+// partitions' slices in partition order and walk cons exactly once (a
+// wire transport may compress the zero entries; see internal/shard's
+// protocol doc).
 //
 // ScoreDir only reads the partition, so any number of concurrent
 // ScoreDir calls (a shard's worker pool scoring a candidate batch) are
@@ -129,8 +130,7 @@ func (ps *PartialState) ScoreDir(target dataset.View, tids *bitset.Set, cons ite
 		if y < lo || y >= hi {
 			continue
 		}
-		covered := bitset.AndCount(tids, &ucol[y-lo])
-		errs := bitset.AndNotAndNotCount(tids, cols[y], &ecol[y-lo])
+		covered, errs := bitset.CoverCounts(tids, &ucol[y-lo], cols[y], &ecol[y-lo])
 		dst = append(dst, ItemCount{Item: int32(y), Covered: int32(covered), Errors: int32(errs)})
 	}
 	return dst
@@ -198,8 +198,7 @@ func (ps *PartialState) applyDir(target dataset.View, tids *bitset.Set, cons ite
 		ucol, ecol := &ps.ucol[target][y-lo], &ps.ecol[target][y-lo]
 
 		covered := ps.scratch
-		bitset.IntersectInto(covered, tids, ucol)
-		covCnt := covered.Count()
+		covCnt := bitset.IntersectInto(covered, tids, ucol)
 		if onCover != nil {
 			onCover(target, y, covered)
 		}

@@ -158,25 +158,65 @@ func (s *State) SumTub(target dataset.View, tids *bitset.Set) float64 {
 // This is the innermost loop of all three miners, and it runs entirely on
 // the columnar mirror: per consequent item y, the number of transactions
 // where y becomes covered is |tids ∩ ucol[y]| and the number where y
-// becomes an error is |tids \ (supp(y) ∪ ecol[y])| — two fused popcount
-// word loops (bitset.AndCount / AndNotAndNotCount), no per-transaction
-// branching, no allocation.
+// becomes an error is |tids \ (supp(y) ∪ ecol[y])| — both counted by
+// one fused popcount word loop over the four streams
+// (bitset.CoverCounts), no per-transaction branching, no allocation.
+// The exact search keeps the same per-item terms incrementally
+// (exact.go) and sums them with termsGain; both sums go through addTerm
+// in consequent order, so they agree bit for bit.
 func (s *State) gainDir(from dataset.View, tids *bitset.Set, cons itemset.Itemset) float64 {
 	target := from.Opposite()
-	ucol, ecol := s.ucol[target], s.ecol[target]
-	cols := s.d.Columns(target)
+	ucol, ecol, cols := s.ucol[target], s.ecol[target], s.d.Columns(target)
 	gain := 0.0
 	//lint:ctxprobe-ok bounded per-rule work (|cons| kernel calls); callers probe ctx at rule granularity
 	for _, y := range cons {
-		covered := bitset.AndCount(tids, &ucol[y])                // L(Y ∩ U_t) terms
-		errs := bitset.AndNotAndNotCount(tids, cols[y], &ecol[y]) // L(Y \ (t_R ∪ E_t)) terms
-		if covered == errs {
-			// Skip the multiply: ±0 contributions cancel, and a
-			// zero-support item (ItemLen +Inf) over an empty tidset
-			// must contribute 0, not Inf·0 = NaN.
-			continue
-		}
-		gain += s.coder.ItemLen(target, y) * float64(covered-errs)
+		// L(Y ∩ U_t) − L(Y \ (t_R ∪ E_t)) terms.
+		covered, errs := bitset.CoverCounts(tids, &ucol[y], cols[y], &ecol[y])
+		gain = s.addTerm(gain, target, y, covered-errs)
+	}
+	return gain
+}
+
+// coverTerm returns covered − errors for item y of the target view
+// against an antecedent support tidset (bitset.CoverCounts): how many of
+// those transactions y would newly cover, minus how many it would newly
+// put in error.
+func (s *State) coverTerm(target dataset.View, tids *bitset.Set, y int) int {
+	covered, errs := bitset.CoverCounts(tids, &s.ucol[target][y], s.d.Columns(target)[y], &s.ecol[target][y])
+	return covered - errs
+}
+
+// appendCoverTerms appends coverTerm(target, tids, y) for every item y
+// of cons to dst, in consequent order.
+func (s *State) appendCoverTerms(dst []int, target dataset.View, tids *bitset.Set, cons itemset.Itemset) []int {
+	ucol, ecol, cols := s.ucol[target], s.ecol[target], s.d.Columns(target)
+	//lint:ctxprobe-ok bounded per node (|cons| kernel calls); the exact DFS probes ctx every 1024 nodes
+	for _, y := range cons {
+		covered, errs := bitset.CoverCounts(tids, &ucol[y], cols[y], &ecol[y])
+		dst = append(dst, covered-errs)
+	}
+	return dst
+}
+
+// addTerm folds one consequent item's cover term into a direction's
+// gain: the single multiply gainDir and termsGain share.
+func (s *State) addTerm(gain float64, target dataset.View, y, term int) float64 {
+	if term == 0 {
+		// Skip the multiply: ±0 contributions cancel, and a
+		// zero-support item (ItemLen +Inf) over an empty tidset
+		// must contribute 0, not Inf·0 = NaN.
+		return gain
+	}
+	return gain + s.coder.ItemLen(target, y)*float64(term)
+}
+
+// termsGain is gainDir for a consequent whose cover terms are already
+// known (terms[j] belongs to cons[j]): the same sum in the same order,
+// hence the same bits.
+func (s *State) termsGain(target dataset.View, cons itemset.Itemset, terms []int) float64 {
+	gain := 0.0
+	for j, y := range cons {
+		gain = s.addTerm(gain, target, y, terms[j])
 	}
 	return gain
 }
@@ -245,8 +285,7 @@ func (s *State) applyDir(from dataset.View, tids *bitset.Set, cons itemset.Items
 
 		// Transactions where y was still uncovered: it becomes covered.
 		covered := s.scratch
-		bitset.IntersectInto(covered, tids, ucol)
-		covCnt := covered.Count()
+		covCnt := bitset.IntersectInto(covered, tids, ucol)
 		if covCnt > 0 {
 			ucol.AndNot(covered)
 			covered.ForEach(func(t int) bool {

@@ -15,7 +15,8 @@ import (
 // to "until the loop finishes", which no functional test catches.
 //
 // Bounded per-call work that is probed one level up (the per-consequent
-// kernel loops inside gainDir/applyDir) carries //lint:ctxprobe-ok.
+// kernel loops inside gainDir/applyDir, the exact search's per-node
+// cover-term loop) carries //lint:ctxprobe-ok.
 var Ctxprobe = &Analyzer{
 	Name:      "ctxprobe",
 	Directive: "ctxprobe-ok",
@@ -56,7 +57,7 @@ var poolPhaseFuncs = map[string]bool{
 // striped-core entry points of kernels_striped.go); a loop over kernel
 // calls is a gain/update hot path.
 var kernelFuncs = map[string]bool{
-	"AndCount": true, "AndNotCount": true, "AndNotAndNotCount": true,
+	"AndCount": true, "AndNotCount": true, "CoverCounts": true,
 	"IntersectInto": true, "IntersectIntoSum": true, "WeightedSum": true,
 }
 

@@ -52,6 +52,26 @@ func SumWeighted(sets []*bitset.Set, w []float64) float64 {
 	return total
 }
 
+// Flagged: the gain kernel over a consequent with no checkpoint.
+func Terms(tids *bitset.Set, ucol, cols, ecol []*bitset.Set, dst []int) []int {
+	for y := range ucol { // want `without a cancellation checkpoint`
+		covered, errs := bitset.CoverCounts(tids, ucol[y], cols[y], ecol[y])
+		dst = append(dst, covered-errs)
+	}
+	return dst
+}
+
+// Allowed: the same per-node term loop, bounded and justified — the
+// branch-and-bound idiom, whose DFS probes ctx every 1024 nodes.
+func TermsBounded(tids *bitset.Set, ucol, cols, ecol []*bitset.Set, dst []int) []int {
+	//lint:ctxprobe-ok fixture: bounded per node; the caller's DFS probes ctx
+	for y := range ucol {
+		covered, errs := bitset.CoverCounts(tids, ucol[y], cols[y], ecol[y])
+		dst = append(dst, covered-errs)
+	}
+	return dst
+}
+
 // Flagged: the shard-round shape without its probe — a loop submitting
 // one pool phase per round; cancelling the caller would leave the
 // rounds spinning and the workers owned.

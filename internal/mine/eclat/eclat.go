@@ -367,8 +367,7 @@ func (m *miner) branch(cur itemset.Itemset, tids *bitset.Set, k, depth int) erro
 	// The child tidset is fully overwritten by the intersection, so a
 	// recycled set needs no clearing.
 	child := m.free.Get(m.d.Size())
-	bitset.IntersectInto(child, tids, m.cols[it])
-	supp := child.Count()
+	supp := bitset.IntersectInto(child, tids, m.cols[it])
 	if supp < m.opt.MinSupport {
 		m.free.Put(child)
 		return nil

@@ -183,8 +183,7 @@ func (es *exactSearch) extend(x, y itemset.Itemset, tidX, tidY, tidXY *bitset.Se
 	it := es.items[k]
 	bufs := es.bufs(depth)
 	childXY := bufs.xy
-	bitset.IntersectInto(childXY, tidXY, it.col)
-	if childXY.Empty() {
+	if bitset.IntersectInto(childXY, tidXY, it.col) == 0 {
 		return nil // X∪Y must occur in the data (§5.2)
 	}
 	bufs.set = insertItemInto(bufs.set, x, y, it)
